@@ -35,6 +35,9 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
 
+# what unreadable files, malformed JSON, missing fields and invalid values raise
+INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError)
+
 
 def _parse_surd(text: str) -> Surd:
     fields = {}
@@ -57,6 +60,12 @@ def _precision(args) -> Precision:
     return Precision(working_bits=args.precision_bits, singular_margin=args.delta)
 
 
+def _invalid(exc: Exception) -> int:
+    text = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    print(f"error: {text}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _load_descriptor(path: str) -> CircleGroupDescriptor:
     with open(path, "r", encoding="utf-8") as fh:
         return CircleGroupDescriptor.from_json(json.load(fh))
@@ -76,8 +85,7 @@ def cmd_cf(args) -> int:
         cf = cf_expand(surd)
         T = stabilizer_generator(surd)
     except (ValueError, RationalInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
     with mpmath.mp.workprec(args.precision_bits):
         value = mpmath.nstr(surd.value(args.precision_bits), 30)
     _emit(
@@ -96,9 +104,8 @@ def cmd_decide(args) -> int:
     try:
         d1 = _load_descriptor(args.d1)
         d2 = _load_descriptor(args.d2)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except INPUT_ERRORS as exc:
+        return _invalid(exc)
     dec = decide(d1, d2)
     _emit(dec.to_json(), args.out)
     if dec.verdict == "conjugate":
@@ -114,10 +121,9 @@ def cmd_orbit(args) -> int:
         t0 = Fraction(args.t0)
         if (t0 * d.k).denominator == 1:
             raise ValueError(f"t0 = {t0} is a marked point of the k = {d.k} orbit")
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    p = _precision(args)
+        p = _precision(args)
+    except INPUT_ERRORS as exc:
+        return _invalid(exc)
     sample = orbit_sample(d, CirclePoint(t0), args.count, seed=args.seed, p=p)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(orbit_to_csv(sample))
@@ -141,14 +147,13 @@ def cmd_verify(args) -> int:
     try:
         d1 = _load_descriptor(args.d1)
         d2 = _load_descriptor(args.d2)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        p = _precision(args)
+    except INPUT_ERRORS as exc:
+        return _invalid(exc)
     dec = decide(d1, d2)
     if dec.verdict != "conjugate":
         _emit({"decision": dec.to_json(), "report": None}, args.out)
         return EXIT_UNDECIDED
-    p = _precision(args)
     wit = dec.witness
     realized = corrupt_witness(d1, wit) if args.corrupt_witness else wit
     psi = witness_to_homeo(d1, d2, realized, check=not args.corrupt_witness)

@@ -54,6 +54,7 @@ from .homeo import (
 )
 from .intmat import (
     StructuredMatrix,
+    blockdiag,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -119,10 +120,6 @@ class Decision:
             "witness": self.witness.to_json() if self.witness is not None else None,
             "certificate": self.certificate,
         }
-
-
-def _alpha_json(alpha) -> dict:
-    return alpha.to_json()
 
 
 def _shared_invariant_failure(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor):
@@ -195,7 +192,7 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
     n, k = d1.n, d1.k
     u, v = d1.g, d2.g
     m2 = n - 2
-    Atilde = _blockdiag(A, n)
+    Atilde = blockdiag(A, n)
     y = mat_vec(Atilde, v)
 
     if k == 1:
@@ -289,7 +286,7 @@ def decide_oracle(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> str:
     if k == 1:
         return "conjugate"
     images = _oracle_images(d1)
-    y = tuple(x % k for x in mat_vec(_blockdiag(A, n), d2.g))
+    y = tuple(x % k for x in mat_vec(blockdiag(A, n), d2.g))
     return "conjugate" if y in images else "not_conjugate"
 
 
@@ -298,7 +295,7 @@ def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
     from itertools import product
 
     n, k, u = d1.n, d1.k, d1.g
-    key = (tuple(sorted(_alpha_json(d1.alpha).items())), n, k, u)
+    key = (d1.alpha, n, k, u)
     cached = _ORACLE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -333,14 +330,6 @@ def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
     return images
 
 
-def _blockdiag(M: UnimodularMatrix2, n: int) -> tuple:
-    (a, b), (c, d) = M.rows()
-    rows = [(a, b) + (0,) * (n - 2), (c, d) + (0,) * (n - 2)]
-    for i in range(n - 2):
-        rows.append((0, 0) + tuple(1 if j == i else 0 for j in range(n - 2)))
-    return tuple(rows)
-
-
 def check_witness(d1, d2, wit: ConjugacyWitness):
     """(ok, reason): exact integer/surd verification of every witness claim."""
     if isinstance(d1.alpha, NonQuadraticAlpha) or isinstance(d2.alpha, NonQuadraticAlpha):
@@ -361,7 +350,7 @@ def check_witness(d1, d2, wit: ConjugacyWitness):
         return False, "f_alpha is not sign-normalized at the base point"
     if any(x % k for x in wit.w):
         return False, "w is not a multiple of the cycle length"
-    y = mat_vec(_blockdiag(A, n), d2.g)
+    y = mat_vec(blockdiag(A, n), d2.g)
     Nu = mat_vec(wit.M.ntilde(), d1.g)
     if y != tuple(a + b for a, b in zip(Nu, wit.w)):
         return False, "the coordinate relation fails"
@@ -385,8 +374,8 @@ def _repack(n: int, A2: UnimodularMatrix2, full: tuple) -> StructuredMatrix:
 def witness_invert(d1, d2, wit: ConjugacyWitness) -> ConjugacyWitness:
     """The witness for the swapped pair (d2, d1)."""
     n = d1.n
-    At = _blockdiag(wit.M.A, n)
-    At_inv = _blockdiag(wit.M.A.inverse(), n)
+    At = blockdiag(wit.M.A, n)
+    At_inv = blockdiag(wit.M.A.inverse(), n)
     N_inv = wit.M.ntilde_inverse()
     full = mat_mul(mat_mul(At_inv, N_inv), At)
     w2 = tuple(-x for x in mat_vec(mat_mul(At_inv, N_inv), wit.w))
@@ -401,8 +390,8 @@ def witness_invert(d1, d2, wit: ConjugacyWitness) -> ConjugacyWitness:
 def witness_compose(d1, d2, d3, w12: ConjugacyWitness, w23: ConjugacyWitness) -> ConjugacyWitness:
     """The witness for (d1, d3) from witnesses for (d1, d2) and (d2, d3)."""
     n = d1.n
-    At12 = _blockdiag(w12.M.A, n)
-    At12_inv = _blockdiag(w12.M.A.inverse(), n)
+    At12 = blockdiag(w12.M.A, n)
+    At12_inv = blockdiag(w12.M.A.inverse(), n)
     conj = mat_mul(mat_mul(At12, w23.M.ntilde()), At12_inv)
     full = mat_mul(conj, w12.M.ntilde())
     A13 = w12.M.A @ w23.M.A
@@ -486,7 +475,7 @@ def conjugation_images(d1, d2, wit: ConjugacyWitness) -> list:
     to (1, -C h) and each bar generator to the matching column of C.
     """
     n, k = d1.n, d1.k
-    C = mat_mul(_blockdiag(wit.M.A.inverse(), n), wit.M.ntilde())
+    C = mat_mul(blockdiag(wit.M.A.inverse(), n), wit.M.ntilde())
     pairs = []
     if k >= 2:
         pairs.append(

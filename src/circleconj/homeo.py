@@ -20,7 +20,7 @@ invariance tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,17 +44,14 @@ class PowerCapExceeded(EvalError):
 @dataclass(frozen=True)
 class Precision:
     working_bits: int = 256
-    eval_tolerance: float = 1e-30
     singular_margin: float = 1e-4
     power_cap: int = 64
 
     def __post_init__(self) -> None:
         if self.working_bits < 64:
             raise ValueError("working_bits must be at least 64")
-        if self.eval_tolerance <= 0 or self.singular_margin <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.eval_tolerance < 2.0 ** (64 - self.working_bits):
-            raise ValueError("eval_tolerance unreachable at this working precision")
+        if self.singular_margin <= 0:
+            raise ValueError("singular_margin must be positive")
         if self.power_cap < 1:
             raise ValueError("power_cap must be positive")
 
@@ -269,85 +266,100 @@ def _interior_guard(frac, p: Precision) -> None:
         )
 
 
-def _contains(e: HomeoExpr, kinds) -> bool:
-    if isinstance(e, kinds):
-        return True
-    if isinstance(e, Compose):
-        return any(_contains(c, kinds) for c in e.items)
-    for attr in ("inner", "fspec", "fsrc", "gtilde"):
-        child = getattr(e, attr, None)
-        if isinstance(child, HomeoExpr) and _contains(child, kinds):
-            return True
-    return False
+def _nodes(e: HomeoExpr) -> list:
+    """Every node of the tree under e (e included): the children of a node
+    are its HomeoExpr field values and the items of a Compose."""
+    out = [e]
+    for node in out:
+        for value in vars(node).values():
+            if isinstance(value, HomeoExpr):
+                out.append(value)
+            elif type(value) is tuple:
+                out.extend(value)
+    return out
 
 
-def _circle_ks(e: HomeoExpr) -> set:
-    ks = set()
-    if isinstance(e, (CanonicalF, CircleExtend)):
-        ks.add(e.k)
-    if isinstance(e, Compose):
-        for c in e.items:
-            ks |= _circle_ks(c)
-    for attr in ("inner", "fspec", "fsrc", "gtilde"):
-        child = getattr(e, attr, None)
-        if isinstance(child, HomeoExpr):
-            ks |= _circle_ks(child)
-    return ks
+# ------------------------------------------------------------------ evaluator
+#
+# One core walks the tree for both domains.  Identity, Compose, Inverse and
+# Power act the same on the line and on the circle; every other node belongs
+# to one domain and is looked up in that domain's table.  Each evaluator takes
+# (node, point, precision, inverse?, table) and recurses through ``_eval``
+# with the table of the domain its child lives in.
+
+
+def _eval(e: HomeoExpr, x, p: Precision, inv: bool, table: dict):
+    step = table.get(type(e))
+    if step is None:
+        domain = "line" if table is _LINE else "circle"
+        raise EvalError(f"{type(e).__name__} is not a {domain} node")
+    return step(e, x, p, inv, table)
+
+
+def _repeat(inner: HomeoExpr, x, n: int, p: Precision, inv: bool, table: dict, what: str):
+    """inner^n at x by repeated composition, capped by ``power_cap``."""
+    if abs(n) > p.power_cap:
+        raise PowerCapExceeded(f"{what} {n} exceeds cap {p.power_cap}")
+    inner_inv = inv if n >= 0 else not inv
+    for _ in range(abs(n)):
+        x = _eval(inner, x, p, inner_inv, table)
+    return x
+
+
+def _eval_compose(e: Compose, x, p: Precision, inv: bool, table: dict):
+    for item in e.items if inv else reversed(e.items):
+        x = _eval(item, x, p, inv, table)
+    return x
+
+
+_SHARED = {
+    Identity: lambda e, x, p, inv, table: x,
+    Compose: _eval_compose,
+    Inverse: lambda e, x, p, inv, table: _eval(e.inner, x, p, not inv, table),
+    Power: lambda e, x, p, inv, table: _repeat(e.inner, x, e.e, p, inv, table, "power"),
+}
 
 
 # ------------------------------------------------------------ line evaluator
 
 
-def _eval_line(e: HomeoExpr, x, p: Precision, inv: bool):
-    if isinstance(e, Identity):
+def _eval_hbar_wrap(e: HbarWrap, x, p: Precision, inv: bool, table: dict):
+    i = mpmath.floor(x)
+    frac = x - i
+    if frac == 0:
         return x
-    if isinstance(e, Translate):
-        a = _surd_mpf_cached(e.a, p.working_bits)
-        return x - a if inv else x + a
-    if isinstance(e, Scale):
-        u = _surd_mpf_cached(e.u, p.working_bits)
-        return x / u if inv else x * u
-    if isinstance(e, HbarBase):
-        return _h_inv(x) if inv else _h(x)
-    if isinstance(e, HbarWrap):
-        i = mpmath.floor(x)
-        frac = x - i
-        if frac == 0:
-            return x
-        _interior_guard(frac, p)
-        w = _eval_line(e.inner, _h_inv(frac), p, inv)
-        return _h(w) + i
-    if isinstance(e, Staircase):
-        ifl = mpmath.floor(x)
-        frac = x - ifl
-        if frac == 0:
-            return x
-        _interior_guard(frac, p)
-        i = int(ifl)
-        if abs(i) > p.power_cap:
-            raise PowerCapExceeded(f"staircase exponent {i} exceeds cap {p.power_cap}")
-        inner_inv = inv if i > 0 else not inv
-        y = x
-        for _ in range(abs(i)):
-            y = _eval_line(e.inner, y, p, inner_inv)
-        return y
-    if isinstance(e, Compose):
-        items = e.items if inv else reversed(e.items)
-        y = x
-        for item in items:
-            y = _eval_line(item, y, p, inv)
-        return y
-    if isinstance(e, Inverse):
-        return _eval_line(e.inner, x, p, not inv)
-    if isinstance(e, Power):
-        if abs(e.e) > p.power_cap:
-            raise PowerCapExceeded(f"power {e.e} exceeds cap {p.power_cap}")
-        inner_inv = inv if e.e >= 0 else not inv
-        y = x
-        for _ in range(abs(e.e)):
-            y = _eval_line(e.inner, y, p, inner_inv)
-        return y
-    raise EvalError(f"{type(e).__name__} is not a line node")
+    _interior_guard(frac, p)
+    w = _eval(e.inner, _h_inv(frac), p, inv, table)
+    return _h(w) + i
+
+
+def _eval_staircase(e: Staircase, x, p: Precision, inv: bool, table: dict):
+    ifl = mpmath.floor(x)
+    frac = x - ifl
+    if frac == 0:
+        return x
+    _interior_guard(frac, p)
+    return _repeat(e.inner, x, int(ifl), p, inv, table, "staircase exponent")
+
+
+def _eval_translate(e: Translate, x, p: Precision, inv: bool, table: dict):
+    a = _surd_mpf_cached(e.a, p.working_bits)
+    return x - a if inv else x + a
+
+
+def _eval_scale(e: Scale, x, p: Precision, inv: bool, table: dict):
+    u = _surd_mpf_cached(e.u, p.working_bits)
+    return x / u if inv else x * u
+
+
+_LINE = {
+    **_SHARED,
+    Translate: _eval_translate,
+    Scale: _eval_scale,
+    HbarBase: lambda e, x, p, inv, table: _h_inv(x) if inv else _h(x),
+    HbarWrap: _eval_hbar_wrap,
+    Staircase: _eval_staircase,
+}
 
 
 def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
@@ -359,13 +371,15 @@ def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
     """
     with mpmath.mp.workprec(p.working_bits):
         xm = _to_mpf(x, p)
-        if not isinstance(x, (int, Fraction, Surd)) and _contains(e, (HbarWrap, Staircase)):
+        if not isinstance(x, (int, Fraction, Surd)) and any(
+            isinstance(node, (HbarWrap, Staircase)) for node in _nodes(e)
+        ):
             frac = xm - mpmath.floor(xm)
             if 0 < min(frac, 1 - frac) < p.singular_margin:
                 raise PrecisionExhausted(
                     "input closer than the trust margin to an integer breakpoint"
                 )
-        return _eval_line(e, xm, p, False)
+        return _eval(e, xm, p, False, _LINE)
 
 
 # ---------------------------------------------------------- circle evaluator
@@ -425,11 +439,11 @@ def _f_steps(fnode: HomeoExpr, v, r: int, inverse: bool, p: Precision):
         q = Fraction(-r if inverse else r, fnode.k)
         return _rot(v, q)
     for _ in range(r):
-        v = _eval_circle(fnode, v, p, inverse)
+        v = _eval(fnode, v, p, inverse, _CIRCLE)
     return v
 
 
-def _eval_canonical_f(e: CanonicalF, t, p: Precision, inv: bool):
+def _eval_canonical_f(e: CanonicalF, t, p: Precision, inv: bool, table: dict):
     k = e.k
     jm = _marked_index(t, k)
     if jm is not None:
@@ -439,15 +453,15 @@ def _eval_canonical_f(e: CanonicalF, t, p: Precision, inv: bool):
     if not inv:
         if rigid or j >= 1:
             return _rot(t, Fraction(1, k))
-        w = _eval_line(e.gtilde, _chart_to_line(_rot(t, Fraction(1, k)), k, p), p, False)
+        w = _eval(e.gtilde, _chart_to_line(_rot(t, Fraction(1, k)), k, p), p, False, _LINE)
         return _chart_from_line(w, k)
     if rigid or j != 1 % k:
         return _rot(t, Fraction(-1, k))
-    w = _eval_line(e.gtilde, _chart_to_line(t, k, p), p, True)
+    w = _eval(e.gtilde, _chart_to_line(t, k, p), p, True, _LINE)
     return _rot(_chart_from_line(w, k), Fraction(-1, k))
 
 
-def _eval_circle_extend(e: CircleExtend, t, p: Precision, inv: bool):
+def _eval_circle_extend(e: CircleExtend, t, p: Precision, inv: bool, table: dict):
     k = e.k
     if _marked_index(t, k) is not None:
         return t
@@ -458,34 +472,11 @@ def _eval_circle_extend(e: CircleExtend, t, p: Precision, inv: bool):
     j = _arc_floor(t, k, p)
     r = (j - 1) % k  # arc index is k for j = 0, else j; r steps reach arc 1
     v = _f_steps(down, t, r, True, p)
-    w = _eval_line(e.inner, _chart_to_line(v, k, p), p, inv)
+    w = _eval(e.inner, _chart_to_line(v, k, p), p, inv, _LINE)
     return _f_steps(up, _chart_from_line(w, k), r, False, p)
 
 
-def _eval_circle(e: HomeoExpr, t, p: Precision, inv: bool):
-    if isinstance(e, Identity):
-        return t
-    if isinstance(e, CanonicalF):
-        return _eval_canonical_f(e, t, p, inv)
-    if isinstance(e, CircleExtend):
-        return _eval_circle_extend(e, t, p, inv)
-    if isinstance(e, Compose):
-        items = e.items if inv else reversed(e.items)
-        v = t
-        for item in items:
-            v = _eval_circle(item, v, p, inv)
-        return v
-    if isinstance(e, Inverse):
-        return _eval_circle(e.inner, t, p, not inv)
-    if isinstance(e, Power):
-        if abs(e.e) > p.power_cap:
-            raise PowerCapExceeded(f"power {e.e} exceeds cap {p.power_cap}")
-        inner_inv = inv if e.e >= 0 else not inv
-        v = t
-        for _ in range(abs(e.e)):
-            v = _eval_circle(e.inner, v, p, inner_inv)
-        return v
-    raise EvalError(f"{type(e).__name__} is not a circle node")
+_CIRCLE = {**_SHARED, CanonicalF: _eval_canonical_f, CircleExtend: _eval_circle_extend}
 
 
 def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoint:
@@ -499,14 +490,15 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
     with mpmath.mp.workprec(p.working_bits):
         raw = point.t
         if not point.is_exact:
-            for k in _circle_ks(e):
+            ks = {node.k for node in _nodes(e) if isinstance(node, (CanonicalF, CircleExtend))}
+            for k in ks:
                 kt = k * raw
                 frac = kt - mpmath.floor(kt)
                 if 0 < min(frac, 1 - frac) < k * p.singular_margin:
                     raise PrecisionExhausted(
                         "input closer than the trust margin to a marked point"
                     )
-        return CirclePoint(_eval_circle(e, raw, p, False))
+        return CirclePoint(_eval(e, raw, p, False, _CIRCLE))
 
 
 # --------------------------------------------------------------- constructors
@@ -521,7 +513,9 @@ def hbar_iter(e: HomeoExpr, m: int) -> HomeoExpr:
     return e
 
 
-_STAIR_CHECK = Precision(working_bits=128, eval_tolerance=1e-15)
+# staircase() samples its inner map at this precision, to this bound
+_STAIR_CHECK = Precision(working_bits=128)
+_STAIR_TOL = 1e-15
 
 
 def staircase(e: HomeoExpr) -> HomeoExpr:
@@ -531,7 +525,7 @@ def staircase(e: HomeoExpr) -> HomeoExpr:
     if not isinstance(e, HomeoExpr):
         raise TypeError("staircase expects a HomeoExpr")
     if not (isinstance(e, (HbarWrap, Identity))):
-        tol = mpmath.mpf(_STAIR_CHECK.eval_tolerance)
+        tol = mpmath.mpf(_STAIR_TOL)
         for i in range(-2, 3):
             if abs(eval_line(e, i, _STAIR_CHECK) - i) > tol:
                 raise ValueError("staircase inner map must fix every integer")
@@ -559,7 +553,7 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
         cur = point.t
         total = Fraction(0)
         for _ in range(iters):
-            nxt = _eval_circle(e, cur, p, False)
+            nxt = _eval(e, cur, p, False, _CIRCLE)
             if isinstance(nxt, Fraction) and isinstance(cur, Fraction):
                 step = (nxt - cur) % 1
             else:
@@ -567,60 +561,44 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
                 step = d - mpmath.floor(d)
             total = total + step
             cur = nxt
-        if isinstance(total, Fraction):
-            return total / iters
         return total / iters
 
 
 # -------------------------------------------------------------- serialization
 
 
+# tag -> node class; at import time the subclasses of HomeoExpr are the nodes
+_NODE_TYPES = {cls.__name__: cls for cls in HomeoExpr.__subclasses__()}
+
+
+def _value_to_json(value):
+    if isinstance(value, HomeoExpr):
+        return expr_to_json(value)
+    if isinstance(value, tuple):
+        return [expr_to_json(c) for c in value]
+    if isinstance(value, Surd):
+        return value.to_json()
+    return value
+
+
 def expr_to_json(e: HomeoExpr):
-    if isinstance(e, Identity):
-        return {"node": "Identity"}
-    if isinstance(e, Translate):
-        return {"node": "Translate", "a": e.a.to_json()}
-    if isinstance(e, Scale):
-        return {"node": "Scale", "u": e.u.to_json()}
-    if isinstance(e, HbarBase):
-        return {"node": "HbarBase"}
-    if isinstance(e, HbarWrap):
-        return {"node": "HbarWrap", "inner": expr_to_json(e.inner)}
-    if isinstance(e, Staircase):
-        return {"node": "Staircase", "inner": expr_to_json(e.inner)}
-    if isinstance(e, Compose):
-        return {"node": "Compose", "items": [expr_to_json(c) for c in e.items]}
-    if isinstance(e, Inverse):
-        return {"node": "Inverse", "inner": expr_to_json(e.inner)}
-    if isinstance(e, Power):
-        return {"node": "Power", "inner": expr_to_json(e.inner), "e": e.e}
-    if isinstance(e, CanonicalF):
-        return {"node": "CanonicalF", "k": e.k, "gtilde": expr_to_json(e.gtilde)}
-    if isinstance(e, CircleExtend):
-        out = {
-            "node": "CircleExtend",
-            "inner": expr_to_json(e.inner),
-            "k": e.k,
-            "fspec": expr_to_json(e.fspec),
-        }
-        if e.fsrc is not None:
-            out["fsrc"] = expr_to_json(e.fsrc)
-        return out
-    raise TypeError(f"not a HomeoExpr: {e!r}")
+    """``{"node": tag, field: value, ...}`` in field declaration order; an
+    optional field left at None is omitted."""
+    if not isinstance(e, HomeoExpr):
+        raise TypeError(f"not a HomeoExpr: {e!r}")
+    out = {"node": type(e).__name__}
+    for f in fields(e):
+        value = getattr(e, f.name)
+        if value is not None:
+            out[f.name] = _value_to_json(value)
+    return out
 
 
-_NODE_FIELDS = {
-    "Identity": set(),
-    "Translate": {"a"},
-    "Scale": {"u"},
-    "HbarBase": set(),
-    "HbarWrap": {"inner"},
-    "Staircase": {"inner"},
-    "Compose": {"items"},
-    "Inverse": {"inner"},
-    "Power": {"inner", "e"},
-    "CanonicalF": {"k", "gtilde"},
-    "CircleExtend": {"inner", "k", "fspec", "fsrc"},
+# field annotation -> decoder; every other field holds one expression
+_FIELD_FROM_JSON = {
+    "Surd": Surd.from_json,
+    "int": int,
+    "tuple": lambda items: tuple(expr_from_json(c) for c in items),
 }
 
 
@@ -628,35 +606,19 @@ def expr_from_json(obj) -> HomeoExpr:
     if not isinstance(obj, dict) or "node" not in obj:
         raise ValueError("expression JSON must be an object with a 'node' tag")
     tag = obj["node"]
-    if tag not in _NODE_FIELDS:
+    cls = _NODE_TYPES.get(tag)
+    if cls is None:
         raise ValueError(f"unknown expression node {tag!r}")
-    extra = set(obj) - _NODE_FIELDS[tag] - {"node"}
+    node_fields = fields(cls)
+    extra = set(obj) - {f.name for f in node_fields} - {"node"}
     if extra:
         raise ValueError(f"unknown fields for {tag}: {sorted(extra)}")
-    if tag == "Identity":
-        return Identity()
-    if tag == "Translate":
-        return Translate(Surd.from_json(obj["a"]))
-    if tag == "Scale":
-        return Scale(Surd.from_json(obj["u"]))
-    if tag == "HbarBase":
-        return HbarBase()
-    if tag == "HbarWrap":
-        return HbarWrap(expr_from_json(obj["inner"]))
-    if tag == "Staircase":
-        return Staircase(expr_from_json(obj["inner"]))
-    if tag == "Compose":
-        return Compose(tuple(expr_from_json(c) for c in obj["items"]))
-    if tag == "Inverse":
-        return Inverse(expr_from_json(obj["inner"]))
-    if tag == "Power":
-        return Power(expr_from_json(obj["inner"]), int(obj["e"]))
-    if tag == "CanonicalF":
-        return CanonicalF(int(obj["k"]), expr_from_json(obj["gtilde"]))
-    fsrc = obj.get("fsrc")
-    return CircleExtend(
-        expr_from_json(obj["inner"]),
-        int(obj["k"]),
-        expr_from_json(obj["fspec"]),
-        expr_from_json(fsrc) if fsrc is not None else None,
-    )
+    args = {}
+    for f in node_fields:
+        value = obj.get(f.name)
+        if value is None:
+            if f.default is MISSING:
+                raise ValueError(f"{tag} needs the field {f.name!r}")
+            continue
+        args[f.name] = _FIELD_FROM_JSON.get(f.type, expr_from_json)(value)
+    return cls(**args)

@@ -89,8 +89,13 @@ def _egcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _rows2(M: UnimodularMatrix2) -> tuple:
-    return M.rows()
+def blockdiag(M: UnimodularMatrix2, n: int) -> tuple:
+    """blockdiag(M, identity) as a plain n x n integer matrix."""
+    (a, b), (c, d) = M.rows()
+    rows = [(a, b) + (0,) * (n - 2), (c, d) + (0,) * (n - 2)]
+    for i in range(n - 2):
+        rows.append((0, 0) + tuple(1 if j == i else 0 for j in range(n - 2)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class StructuredMatrix:
     def ntilde(self) -> tuple:
         """[[f_alpha, S], [0, B]] as a plain integer matrix."""
         m = self.n - 2
-        (a, b), (c, d) = _rows2(self.f_alpha)
+        (a, b), (c, d) = self.f_alpha.rows()
         rows = [(a, b) + self.S[0], (c, d) + self.S[1]]
         for i in range(m):
             rows.append((0, 0) + self.B[i])
@@ -156,12 +161,7 @@ class StructuredMatrix:
 
     def atilde(self) -> tuple:
         """blockdiag(A, identity) as a plain integer matrix."""
-        m = self.n - 2
-        (a, b), (c, d) = _rows2(self.A)
-        rows = [(a, b) + (0,) * m, (c, d) + (0,) * m]
-        for i in range(m):
-            rows.append((0, 0) + mat_identity(m)[i])
-        return tuple(rows)
+        return blockdiag(self.A, self.n)
 
     def assembled(self) -> tuple:
         return mat_mul(self.ntilde(), self.atilde())
@@ -170,7 +170,7 @@ class StructuredMatrix:
         """Exact integer inverse of the [[f, S], [0, B]] block."""
         m = self.n - 2
         f_inv = self.f_alpha.inverse()
-        (a, b), (c, d) = _rows2(f_inv)
+        (a, b), (c, d) = f_inv.rows()
         B_inv = unit_upper_inverse(self.B)
         SBinv = mat_mul(self.S, B_inv) if m else ((), ())
         top = [

@@ -235,3 +235,41 @@ def test_global_flags_accepted(capsys):
         "a=-1,b=1,c=1,d=2",
     )
     assert code == 0
+
+
+def test_verify_at_128_bits(capsys):
+    code, out, _ = run(
+        capsys,
+        "--precision-bits",
+        "128",
+        "verify",
+        str(SAMPLES / "root2_k2_a.json"),
+        str(SAMPLES / "root2_k2_b.json"),
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["ok"]
+
+
+@pytest.mark.parametrize("flag", [("--precision-bits", "32"), ("--delta", "0")])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("orbit", str(SAMPLES / "root2_k2_a.json"), "--t0", "0.3", "--count", "5"),
+        ("verify", str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")),
+    ],
+    ids=["orbit", "verify"],
+)
+def test_bad_precision_flag_exit2(capsys, tmp_path, flag, command):
+    extra = ("--out", str(tmp_path / "x.csv")) if command[0] == "orbit" else ()
+    code, out, err = run(capsys, *command, *extra, *flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_descriptor_missing_field_exit2(capsys, tmp_path):
+    bad = write_descriptor(tmp_path, "nog.json", {"alpha": ROOT2, "n": 2, "k": 2})
+    for command in ("decide", "verify"):
+        code, _, err = run(capsys, command, bad, bad)
+        assert code == 2
+        assert err == "error: missing field 'g'\n"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -164,7 +165,7 @@ def test_inverse_round_trip():
                 if min(x % 1, 1 - x % 1) < 2e-3:
                     continue
                 y = eval_line(Inverse(e), x)
-                assert abs(eval_line(e, y) - x) < mpmath.mpf(P.eval_tolerance)
+                assert abs(eval_line(e, y) - x) < mpmath.mpf(1e-30)
 
 
 def test_monotonicity_on_grids():
@@ -496,6 +497,56 @@ def test_expr_json_round_trip():
         assert expr_from_json(expr_to_json(e)) == e
 
 
+_ONE = '{"a": 1, "b": 0, "c": 1, "d": 1}'
+_SQRT2 = '{"a": 0, "b": 1, "c": 1, "d": 2}'
+_WRAP1 = '{"node": "HbarWrap", "inner": {"node": "Translate", "a": ' + _ONE + "}}"
+_F2 = '{"node": "CanonicalF", "k": 2, "gtilde": {"node": "Translate", "a": ' + _SQRT2 + "}}"
+_F2_OTHER = (
+    '{"node": "CanonicalF", "k": 2, "gtilde": {"node": "Translate", "a": '
+    '{"a": 1, "b": 1, "c": 3, "d": 2}}}'
+)
+PINNED_JSON = [
+    (Identity(), '{"node": "Identity"}'),
+    (Translate(SQRT2), '{"node": "Translate", "a": ' + _SQRT2 + "}"),
+    (Scale(Surd(1, 0, 2, 1)), '{"node": "Scale", "u": {"a": 1, "b": 0, "c": 2, "d": 1}}'),
+    (HbarBase(), '{"node": "HbarBase"}'),
+    (HbarWrap(Translate(1)), _WRAP1),
+    (staircase(HbarWrap(Translate(1))), '{"node": "Staircase", "inner": ' + _WRAP1 + "}"),
+    (
+        Compose((Scale(2), Translate(Fraction(1, 2)))),
+        '{"node": "Compose", "items": [{"node": "Scale", "u": {"a": 2, "b": 0, "c": 1, "d": 1}}, '
+        '{"node": "Translate", "a": {"a": 1, "b": 0, "c": 2, "d": 1}}]}',
+    ),
+    (Inverse(HbarBase()), '{"node": "Inverse", "inner": {"node": "HbarBase"}}'),
+    (Power(HbarWrap(Translate(1)), -2), '{"node": "Power", "inner": ' + _WRAP1 + ', "e": -2}'),
+    (canonical_example(2), _F2),
+    (
+        CircleExtend(HbarWrap(Translate(1)), 2, canonical_example(2)),
+        '{"node": "CircleExtend", "inner": ' + _WRAP1 + ', "k": 2, "fspec": ' + _F2 + "}",
+    ),
+    (
+        CircleExtend(Identity(), 2, canonical_example(2), fsrc=canonical_example(2, Surd(1, 1, 3, 2))),
+        '{"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2, "fspec": ' + _F2
+        + ', "fsrc": ' + _F2_OTHER + "}",
+    ),
+]
+
+
+@pytest.mark.parametrize("e, text", PINNED_JSON, ids=[type(e).__name__ for e, _ in PINNED_JSON])
+def test_expr_json_text_is_pinned(e, text):
+    assert json.dumps(expr_to_json(e)) == text
+    assert expr_from_json(json.loads(text)) == e
+
+
+def test_expr_json_missing_field_is_value_error():
+    with pytest.raises(ValueError):
+        expr_from_json({"node": "Translate"})
+    with pytest.raises(ValueError):
+        expr_from_json({"node": "Power", "inner": {"node": "Identity"}})
+    with pytest.raises(ValueError):
+        expr_from_json({"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2})
+
+
 def test_expr_json_rejects_unknown():
     with pytest.raises(ValueError):
         expr_from_json({"node": "Spiral"})
@@ -506,9 +557,5 @@ def test_expr_json_rejects_unknown():
 def test_precision_validation():
     with pytest.raises(ValueError):
         Precision(working_bits=32)
-    with pytest.raises(ValueError):
-        Precision(eval_tolerance=-1)
-    with pytest.raises(ValueError):
-        Precision(working_bits=64, eval_tolerance=1e-300)
     with pytest.raises(ValueError):
         Precision(power_cap=0)
