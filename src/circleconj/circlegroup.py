@@ -35,8 +35,8 @@ from .homeo import (
     eval_circle,
     marked_point,
 )
-from .exactnum import Surd
-from .lineargroup import LineGroupDescriptor, alpha_from_json, alpha_to_json, element_to_expr
+from .exactnum import Surd, json_int
+from .lineargroup import LineGroupDescriptor, alpha_from_json, element_to_expr
 
 
 def content(g) -> int:
@@ -85,14 +85,19 @@ class CircleGroupDescriptor:
         return LineGroupDescriptor(self.alpha, self.n)
 
     def to_json(self) -> dict:
-        return {"alpha": alpha_to_json(self.alpha), "n": self.n, "k": self.k, "g": list(self.g)}
+        return {"alpha": self.alpha.to_json(), "n": self.n, "k": self.k, "g": list(self.g)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CircleGroupDescriptor":
         extra = set(obj) - {"alpha", "n", "k", "g"}
         if extra:
             raise ValueError(f"unknown descriptor fields: {sorted(extra)}")
-        return cls(alpha_from_json(obj["alpha"]), int(obj["n"]), int(obj["k"]), tuple(obj["g"]))
+        return cls(
+            alpha_from_json(obj["alpha"]),
+            json_int(obj["n"], "n"),
+            json_int(obj["k"], "k"),
+            tuple(json_int(v, "g entry") for v in obj["g"]),
+        )
 
 
 def canonical_f(d: CircleGroupDescriptor) -> CanonicalF:

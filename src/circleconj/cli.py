@@ -8,7 +8,8 @@ stdout (CSV/SVG only as files) and deterministic for a fixed seed.
 
 Exit codes: 0 success (for decide: conjugate; for verify: verified),
 1 negative result (not conjugate / verification failed), 2 invalid input,
-3 undecided or not-applicable (verify on a non-conjugate pair).
+3 undecided or not-applicable (verify on a non-conjugate pair), 4 internal
+error (an exact self-check of a computed certificate failed).
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from .conjugacy import (
     verify_conjugation,
     witness_to_homeo,
 )
-from .exactnum import RationalInputError, Surd, cf_expand, stabilizer_generator
+from .exactnum import CertificateError, Surd, cf_expand, stabilizer_generator
 from .homeo import CirclePoint, Precision
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 # what unreadable files, malformed JSON, missing fields and invalid values raise
 INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError)
@@ -84,7 +86,7 @@ def cmd_cf(args) -> int:
         surd = _parse_surd(args.surd)
         cf = cf_expand(surd)
         T = stabilizer_generator(surd)
-    except (ValueError, RationalInputError) as exc:
+    except INPUT_ERRORS as exc:
         return _invalid(exc)
     with mpmath.mp.workprec(args.precision_bits):
         value = mpmath.nstr(surd.value(args.precision_bits), 30)
@@ -232,7 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.precision_bits < 64:
+        return _invalid(ValueError("--precision-bits must be at least 64"))
+    if not args.delta > 0:
+        return _invalid(ValueError("--delta must be positive"))
+    try:
+        return args.func(args)
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

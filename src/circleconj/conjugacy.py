@@ -30,6 +30,7 @@ from .circlegroup import (
     element_expr,
 )
 from .exactnum import (
+    CertificateError,
     NonQuadraticAlpha,
     Surd,
     UnimodularMatrix2,
@@ -55,7 +56,6 @@ from .homeo import (
 from .intmat import (
     StructuredMatrix,
     blockdiag,
-    mat_identity,
     mat_mul,
     mat_vec,
     solve_congruence,
@@ -160,17 +160,16 @@ def _base_point_step(d1, d2):
     return A, None
 
 
-def _stabilizer_cycle_mod_k(T: UnimodularMatrix2, k: int) -> int:
-    """Period of T modulo k (powers of T repeat with this period mod k)."""
-    ident = UnimodularMatrix2.identity().mod(k)
-    period = 1
-    M = T
-    while M.mod(k) != ident:
-        M = M @ T
-        period += 1
-        if period > 10**6:  # unreachable for unimodular matrices mod k
-            raise RuntimeError("stabilizer cycle did not close")
-    return period
+def _stabilizer_powers(T: UnimodularMatrix2, k: int):
+    """T^0, T^1, ..., T^(p-1), where p is the period of T modulo k."""
+    F = UnimodularMatrix2.identity()
+    ident = F.mod(k)
+    for _ in range(10**6):  # the period is finite, but bound the work for huge k
+        yield F
+        F = F @ T
+        if F.mod(k) == ident:
+            return
+    raise RuntimeError("stabilizer cycle did not close")
 
 
 def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
@@ -180,7 +179,8 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
     difference must vanish modulo gcd(u_{i+1}, ..., u_n, k), and the top two
     rows must match some stabilizer power f = T^m modulo gcd(u_3, ..., u_n, k).
     Concrete S and B entries then come from extended-gcd congruence solving,
-    and w, h follow exactly.
+    and w, h follow exactly.  At k = 1 every modulus is 1, so f = I, S = 0,
+    B = I and h = w.
     """
     fail = _shared_invariant_failure(d1, d2)
     if fail is not None:
@@ -191,19 +191,7 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
 
     n, k = d1.n, d1.k
     u, v = d1.g, d2.g
-    m2 = n - 2
-    Atilde = blockdiag(A, n)
-    y = mat_vec(Atilde, v)
-
-    if k == 1:
-        M = StructuredMatrix(
-            UnimodularMatrix2.identity(), A, ((0,) * m2, (0,) * m2), mat_identity(m2)
-        )
-        w = tuple(yi - ui for yi, ui in zip(y, u))
-        wit = ConjugacyWitness(M, w, w)  # k == 1: h == w
-        ok, reason = check_witness(d1, d2, wit)
-        assert ok, reason
-        return Decision("conjugate", witness=wit)
+    y = mat_vec(blockdiag(A, n), v)
 
     # bottom rows, from the last one up
     for i in range(n, 2, -1):
@@ -221,17 +209,11 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
 
     # top rows: some stabilizer power must match both components at once
     g_top = gcd(*u[2:], k)
-    T = stabilizer_generator(d1.alpha)
-    period = _stabilizer_cycle_mod_k(T, k)
-    f = None
-    F = UnimodularMatrix2.identity()
-    for m in range(period):
-        fu = F.apply_vector((u[0], u[1]))
+    for period, f in enumerate(_stabilizer_powers(stabilizer_generator(d1.alpha), k), 1):
+        fu = f.apply_vector((u[0], u[1]))
         if (y[0] - fu[0]) % g_top == 0 and (y[1] - fu[1]) % g_top == 0:
-            f = F
             break
-        F = F @ T
-    if f is None:
+    else:
         return Decision(
             "not_conjugate",
             certificate={
@@ -242,26 +224,25 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
         )
 
     # back-substitute concrete S and B entries
-    fu = f.apply_vector((u[0], u[1]))
-    S_rows = []
-    for r in range(2):
-        x = solve_congruence(list(u[2:]), y[r] - fu[r], k)
-        assert x is not None
-        S_rows.append(tuple(x))
-    B_rows = []
-    for i in range(3, n + 1):
-        x = solve_congruence(list(u[i:]), y[i - 1] - u[i - 1], k)
-        assert x is not None
-        B_rows.append((0,) * (i - 3) + (1,) + tuple(x))
-    M = StructuredMatrix(f, A, tuple(S_rows), tuple(B_rows))
+    S = tuple(_solve(u[2:], y[r] - fu[r], k) for r in range(2))
+    B = tuple(
+        (0,) * (i - 3) + (1,) + _solve(u[i:], y[i - 1] - u[i - 1], k) for i in range(3, n + 1)
+    )
+    M = StructuredMatrix(f, A, S, B)
     Nu = mat_vec(M.ntilde(), u)
     w = tuple(yi - nui for yi, nui in zip(y, Nu))
-    hk = mat_vec(M.ntilde_inverse(), w)
-    assert all(x % k == 0 for x in w) and all(x % k == 0 for x in hk)
-    wit = ConjugacyWitness(M, w, tuple(x // k for x in hk))
+    wit = ConjugacyWitness(M, w, _h_from(k, M, w))
     ok, reason = check_witness(d1, d2, wit)
-    assert ok, reason
+    if not ok:
+        raise CertificateError(f"decide built a witness that fails its check: {reason}")
     return Decision("conjugate", witness=wit)
+
+
+def _solve(coeffs: tuple, target: int, k: int) -> tuple:
+    x = solve_congruence(list(coeffs), target, k)
+    if x is None:
+        raise CertificateError(f"{coeffs} . x == {target} (mod {k}) passed the gcd test unsolved")
+    return tuple(x)
 
 
 _ORACLE_CACHE: dict = {}
@@ -300,12 +281,7 @@ def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
     if cached is not None:
         return cached
     T = stabilizer_generator(d1.alpha)
-    period = _stabilizer_cycle_mod_k(T, k)
-    f_tops = []
-    F = UnimodularMatrix2.identity()
-    for _ in range(period):
-        f_tops.append(F.apply_vector((u[0], u[1])))
-        F = F @ T
+    f_tops = [F.apply_vector((u[0], u[1])) for F in _stabilizer_powers(T, k)]
     m2 = n - 2
     tail = u[2:]
     upper_cells = [(i, j) for i in range(m2) for j in range(i + 1, m2)]

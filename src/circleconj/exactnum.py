@@ -21,6 +21,18 @@ class MixedRadicandError(ValueError):
     """Arithmetic attempted between surds over different square roots."""
 
 
+class CertificateError(RuntimeError):
+    """An exact self-check of a computed result failed: a fault in this
+    package, not in its input."""
+
+
+def json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer; a bool or a float is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def is_square_free(d: int) -> bool:
     if d <= 0:
         return False
@@ -229,11 +241,18 @@ class Surd:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Surd":
+    def from_json(cls, obj) -> "Surd":
+        if not isinstance(obj, dict):
+            raise ValueError("surd JSON must be an object")
         extra = set(obj) - {"a", "b", "c", "d"}
         if extra:
             raise ValueError(f"unknown surd fields: {sorted(extra)}")
-        return cls(int(obj["a"]), int(obj.get("b", 0)), int(obj.get("c", 1)), int(obj.get("d", 1)))
+        return cls(
+            json_int(obj["a"], "a"),
+            json_int(obj.get("b", 0), "b"),
+            json_int(obj.get("c", 1), "c"),
+            json_int(obj.get("d", 1), "d"),
+        )
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -437,48 +456,62 @@ def _quotient_matrix(a: int) -> UnimodularMatrix2:
 _MAX_GAUSS_STEPS = 100_000
 
 
-def _gauss_steps(x: Surd):
-    """Run the exact Gauss map until the tail state repeats.
+@dataclass(frozen=True, eq=False)
+class AlphaProfile:
+    """Everything the exact Gauss map derives from one quadratic irrational.
 
-    Returns (quotients, states, cycle_start, cycle_len) where states[i] is
-    the complete quotient before emitting quotients[i].  Repetition is
-    detected among the tail states (index >= 1), so the integer part always
-    stays in the preperiod.
+    State i is the complete quotient of ``x`` before ``quotients[i]`` is
+    emitted; state 0 is ``x`` itself.  The map runs until a tail state
+    repeats, so ``quotients[start:]`` is one full period and ``cycle`` maps
+    each state on the cycle to its index.  The integer part always stays in
+    the preperiod (start >= 1).
     """
-    if x.is_rational:
-        raise RationalInputError("continued fraction of a rational does not terminate periodically")
-    quotients = []
-    states = [x]
-    seen = {}
-    cur = x
-    for step in range(_MAX_GAUSS_STEPS):
-        a = cur.floor()
-        quotients.append(a)
-        cur = (cur - a).inverse()
-        idx = len(states)  # index of the new tail state
-        if cur in seen:
-            j = seen[cur]
-            return quotients, states, j, idx - j
-        seen[cur] = idx
-        states.append(cur)
-    raise RuntimeError("Gauss map failed to cycle (not reachable for quadratic surds)")
+
+    x: Surd
+    quotients: tuple
+    start: int
+    cycle: dict
+
+    @classmethod
+    def of(cls, x: Surd) -> "AlphaProfile":
+        if x.is_rational:
+            raise RationalInputError(
+                "continued fraction of a rational does not terminate periodically"
+            )
+        quotients = []
+        seen = {}
+        cur = x
+        for _ in range(_MAX_GAUSS_STEPS):
+            a = cur.floor()
+            quotients.append(a)
+            cur = (cur - a).inverse()
+            start = seen.get(cur)
+            if start is not None:
+                cycle = {state: i for state, i in seen.items() if i >= start}
+                return cls(x, tuple(quotients), start, cycle)
+            seen[cur] = len(quotients)
+        raise RuntimeError("Gauss map failed to cycle (not reachable for quadratic surds)")
+
+    def prefix(self, i: int) -> UnimodularMatrix2:
+        """Product of the quotient matrices of ``quotients[:i]``: it carries
+        state i back to x."""
+        M = UnimodularMatrix2.identity()
+        for a in self.quotients[:i]:
+            M = _quotient_matrix(a) @ M
+        return M
+
+    def carry(self, i: int, other: "AlphaProfile", j: int) -> UnimodularMatrix2:
+        """The matrix sending x to ``other.x`` through state i of x, which must
+        equal state j of ``other``; sign-normalized at x."""
+        return sign_normalize(self.prefix(i).inverse() @ other.prefix(j), self.x)
 
 
 def cf_expand(x) -> ContinuedFraction:
     """Exact continued fraction of a quadratic irrational (or a declared prefix)."""
     if isinstance(x, NonQuadraticAlpha):
         return x.cf()
-    x = Surd.coerce(x)
-    quotients, _states, j, p = _gauss_steps(x)
-    return ContinuedFraction(tuple(quotients[:j]), tuple(quotients[j:j + p]))
-
-
-def _prefix_matrices(quotients) -> list:
-    """M_i with x = mobius_apply(M_i, state_i); M_0 = identity."""
-    mats = [UnimodularMatrix2.identity()]
-    for a in quotients:
-        mats.append(_quotient_matrix(a) @ mats[-1])
-    return mats
+    prof = AlphaProfile.of(Surd.coerce(x))
+    return ContinuedFraction(prof.quotients[:prof.start], prof.quotients[prof.start:])
 
 
 def equivalent(x, y):
@@ -486,8 +519,8 @@ def equivalent(x, y):
 
     Two quadratic irrationals are related by an integer Mobius map with
     determinant +-1 exactly when their continued fractions share a tail;
-    the witness is rebuilt from the partial-quotient matrices of both
-    expansions and sign-normalized so that m2 + n2*x > 0.
+    the witness is carried through the first state on x's cycle that y's
+    cycle shares, and sign-normalized so that m2 + n2*x > 0.
     """
     x, y = Surd.coerce(x), Surd.coerce(y)
     if x.is_rational or y.is_rational:
@@ -496,25 +529,15 @@ def equivalent(x, y):
         return UnimodularMatrix2.identity()
     if x.d != y.d:
         return None
-
-    qx, sx, jx, px = _gauss_steps(x)
-    qy, sy, jy, py = _gauss_steps(y)
-    cycle_y = {sy[jy + i]: jy + i for i in range(py)}
-    match = None
-    for i in range(px):
-        state = sx[jx + i]
-        if state in cycle_y:
-            match = (jx + i, cycle_y[state])
-            break
-    if match is None:
-        return None
-    ix, iy = match
-    mx = _prefix_matrices(qx[:ix])[-1]
-    my = _prefix_matrices(qy[:iy])[-1]
-    M = mx.inverse() @ my
-    M = sign_normalize(M, x)
-    assert mobius_apply(M, x) == y
-    return M
+    px, py = AlphaProfile.of(x), AlphaProfile.of(y)
+    for state, i in px.cycle.items():
+        j = py.cycle.get(state)
+        if j is not None:
+            M = px.carry(i, py, j)
+            if mobius_apply(M, x) != y:
+                raise CertificateError(f"equivalence matrix {M.rows()} does not send {x} to {y}")
+            return M
+    return None
 
 
 def stabilizer_generator(x):
@@ -529,13 +552,9 @@ def stabilizer_generator(x):
     x = Surd.coerce(x)
     if x.is_rational:
         raise RationalInputError("stabilizer is defined for irrational inputs")
-    quotients, _states, j, p = _gauss_steps(x)
-    pre = _prefix_matrices(quotients[:j])[-1]
-    block = UnimodularMatrix2.identity()
-    for a in quotients[j:j + p]:
-        block = _quotient_matrix(a) @ block
-    T = pre.inverse() @ block @ pre
-    T = sign_normalize(T, x)
-    assert mobius_apply(T, x) == x
-    assert T.rows() not in (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+    prof = AlphaProfile.of(x)
+    # state start + period is state start again
+    T = prof.carry(prof.start, prof, len(prof.quotients))
+    if mobius_apply(T, x) != x or T == UnimodularMatrix2.identity():
+        raise CertificateError(f"{T.rows()} is not a nontrivial fixer of {x}")
     return T

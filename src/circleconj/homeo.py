@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .exactnum import Surd
+from .exactnum import Surd, json_int
 
 
 class EvalError(Exception):
@@ -594,10 +594,10 @@ def expr_to_json(e: HomeoExpr):
     return out
 
 
-# field annotation -> decoder; every other field holds one expression
+# field annotation -> decoder; `int` fields go through json_int and every
+# other field holds one expression
 _FIELD_FROM_JSON = {
     "Surd": Surd.from_json,
-    "int": int,
     "tuple": lambda items: tuple(expr_from_json(c) for c in items),
 }
 
@@ -606,7 +606,7 @@ def expr_from_json(obj) -> HomeoExpr:
     if not isinstance(obj, dict) or "node" not in obj:
         raise ValueError("expression JSON must be an object with a 'node' tag")
     tag = obj["node"]
-    cls = _NODE_TYPES.get(tag)
+    cls = _NODE_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ValueError(f"unknown expression node {tag!r}")
     node_fields = fields(cls)
@@ -620,5 +620,6 @@ def expr_from_json(obj) -> HomeoExpr:
             if f.default is MISSING:
                 raise ValueError(f"{tag} needs the field {f.name!r}")
             continue
-        args[f.name] = _FIELD_FROM_JSON.get(f.type, expr_from_json)(value)
+        decode = _FIELD_FROM_JSON.get(f.type, expr_from_json)
+        args[f.name] = json_int(value, f.name) if f.type == "int" else decode(value)
     return cls(**args)

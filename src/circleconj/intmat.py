@@ -30,10 +30,6 @@ def mat_vec(A: tuple, v) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
 
 
-def mat_mod(A: tuple, k: int) -> tuple:
-    return tuple(tuple(x % k for x in row) for row in A)
-
-
 def unit_upper_inverse(B: tuple) -> tuple:
     """Exact inverse of a unit upper triangular integer matrix (again one)."""
     m = len(B)

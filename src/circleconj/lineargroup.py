@@ -23,6 +23,7 @@ from .exactnum import (
     Surd,
     UnimodularMatrix2,
     denominator_at,
+    json_int,
     mobius_apply,
 )
 from .homeo import (
@@ -38,10 +39,6 @@ from .homeo import (
 from .intmat import StructuredMatrix, mat_mul
 
 
-def alpha_to_json(alpha):
-    return alpha.to_json()
-
-
 def alpha_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("base point must be a JSON object")
@@ -49,7 +46,8 @@ def alpha_from_json(obj):
         extra = set(obj) - {"nonquadratic_cf"}
         if extra:
             raise ValueError(f"unknown base point fields: {sorted(extra)}")
-        return NonQuadraticAlpha(tuple(obj["nonquadratic_cf"]))
+        prefix = obj["nonquadratic_cf"]
+        return NonQuadraticAlpha(tuple(json_int(a, "nonquadratic_cf entry") for a in prefix))
     return Surd.from_json(obj)
 
 
@@ -79,14 +77,14 @@ class LineGroupDescriptor:
             raise ValueError("rank n must be an integer >= 2")
 
     def to_json(self) -> dict:
-        return {"alpha": alpha_to_json(self.alpha), "n": self.n}
+        return {"alpha": self.alpha.to_json(), "n": self.n}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LineGroupDescriptor":
         extra = set(obj) - {"alpha", "n"}
         if extra:
             raise ValueError(f"unknown descriptor fields: {sorted(extra)}")
-        return cls(alpha_from_json(obj["alpha"]), int(obj["n"]))
+        return cls(alpha_from_json(obj["alpha"]), json_int(obj["n"], "n"))
 
 
 def element_to_expr(d: LineGroupDescriptor, coords) -> HomeoExpr:

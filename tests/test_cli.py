@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from circleconj import conjugacy
 from circleconj.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -256,15 +257,18 @@ def test_verify_at_128_bits(capsys):
     [
         ("orbit", str(SAMPLES / "root2_k2_a.json"), "--t0", "0.3", "--count", "5"),
         ("verify", str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")),
+        ("decide", str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")),
+        ("cf", "--surd", "a=-1,b=1,c=1,d=2"),
     ],
-    ids=["orbit", "verify"],
+    ids=["orbit", "verify", "decide", "cf"],
 )
 def test_bad_precision_flag_exit2(capsys, tmp_path, flag, command):
     extra = ("--out", str(tmp_path / "x.csv")) if command[0] == "orbit" else ()
     code, out, err = run(capsys, *command, *extra, *flag)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    bound = "at least 64" if flag[0] == "--precision-bits" else "positive"
+    assert err == f"error: {flag[0]} must be {bound}\n"
 
 
 def test_descriptor_missing_field_exit2(capsys, tmp_path):
@@ -273,3 +277,31 @@ def test_descriptor_missing_field_exit2(capsys, tmp_path):
         code, _, err = run(capsys, command, bad, bad)
         assert code == 2
         assert err == "error: missing field 'g'\n"
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"alpha": ROOT2, "n": 2, "k": True, "g": [1, 0]},
+        {"alpha": ROOT2, "n": 2, "k": 2, "g": [1.7, 0]},
+        {"alpha": {**ROOT2, "a": -1.5}, "n": 2, "k": 2, "g": [1, 0]},
+        {"alpha": ROOT2, "n": 2.0, "k": 2, "g": [1, 0]},
+    ],
+    ids=["bool-k", "float-g", "float-alpha", "float-n"],
+)
+def test_descriptor_non_integer_exit2(capsys, tmp_path, descriptor):
+    bad = write_descriptor(tmp_path, "bad.json", descriptor)
+    code, out, err = run(capsys, "decide", bad, str(SAMPLES / "root2_k2_a.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_self_check_exit4(capsys, monkeypatch):
+    monkeypatch.setattr(conjugacy, "check_witness", lambda *args: (False, "rejected"))
+    code, out, err = run(
+        capsys, "decide", str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from circleconj import conjugacy
 from circleconj.circlegroup import CircleGroupDescriptor, validate_g
 from circleconj.conjugacy import (
     ConjugacyWitness,
@@ -18,6 +23,7 @@ from circleconj.conjugacy import (
     witness_to_homeo,
 )
 from circleconj.exactnum import (
+    CertificateError,
     NonQuadraticAlpha,
     Surd,
     UnimodularMatrix2,
@@ -174,6 +180,33 @@ def test_check_witness_catches_corruptions():
         wit.h,
     )
     assert not check_witness(d1, d2, wrong_A)[0]
+
+
+def test_decide_raises_when_its_witness_fails_the_check(monkeypatch):
+    monkeypatch.setattr(conjugacy, "check_witness", lambda *args: (False, "rejected"))
+    with pytest.raises(CertificateError, match="rejected"):
+        decide(D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (0, 1)))
+
+
+def test_self_check_survives_python_O():
+    script = (
+        "from circleconj import conjugacy as c\n"
+        "from circleconj.circlegroup import CircleGroupDescriptor as D\n"
+        "from circleconj.exactnum import CertificateError, Surd\n"
+        "c.check_witness = lambda *args: (False, 'rejected')\n"
+        "a = Surd(-1, 1, 1, 2)\n"
+        "try:\n"
+        "    print(c.decide(D(a, 2, 2, (1, 0)), D(a, 2, 2, (0, 1))).verdict)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(conjugacy.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "raised\n"
 
 
 def test_witness_json_round_trip():

@@ -547,6 +547,22 @@ def test_expr_json_missing_field_is_value_error():
         expr_from_json({"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"node": "Power", "inner": {"node": "Identity"}, "e": 2.7},
+        {"node": "Power", "inner": {"node": "Identity"}, "e": True},
+        {"node": []},
+        {"node": "Translate", "a": 5},
+        {"node": "Translate", "a": {"a": 1.5}},
+    ],
+    ids=["float-e", "bool-e", "list-tag", "number-a", "float-surd-entry"],
+)
+def test_expr_json_bad_value_is_value_error(obj):
+    with pytest.raises(ValueError):
+        expr_from_json(obj)
+
+
 def test_expr_json_rejects_unknown():
     with pytest.raises(ValueError):
         expr_from_json({"node": "Spiral"})

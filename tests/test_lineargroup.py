@@ -95,6 +95,10 @@ def test_descriptor_json_round_trip():
         assert LineGroupDescriptor.from_json(d.to_json()) == d
     with pytest.raises(ValueError):
         LineGroupDescriptor.from_json({"alpha": ROOT2M1.to_json(), "n": 2, "extra": 0})
+    with pytest.raises(ValueError):
+        LineGroupDescriptor.from_json({"alpha": ROOT2M1.to_json(), "n": 3.0})
+    with pytest.raises(ValueError):
+        LineGroupDescriptor.from_json({"alpha": {"nonquadratic_cf": [0, 3, 1.5]}, "n": 2})
 
 
 # -- elements -----------------------------------------------------------------------
