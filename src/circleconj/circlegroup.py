@@ -139,7 +139,7 @@ class CircleElement:
         extra = set(obj) - {"j", "h"}
         if extra:
             raise ValueError(f"unknown element fields: {sorted(extra)}")
-        return cls(int(obj["j"]), tuple(obj["h"]))
+        return cls(json_int(obj["j"], "j"), tuple(json_int(x, "h entry") for x in obj["h"]))
 
 
 def _check_element(d: CircleGroupDescriptor, e: CircleElement) -> None:

@@ -37,6 +37,7 @@ from .exactnum import (
     cf_expand,
     denominator_at,
     equivalent,
+    json_int,
     mobius_apply,
     stabilizer_generator,
 )
@@ -105,7 +106,8 @@ class ConjugacyWitness:
         if extra:
             raise ValueError(f"unknown witness fields: {sorted(extra)}")
         M = StructuredMatrix.from_json({k: obj[k] for k in ("f_alpha", "A", "S", "B")})
-        return cls(M, tuple(obj["w"]), tuple(obj["h"]))
+        w, h = (tuple(json_int(x, f"{key} entry") for x in obj[key]) for key in ("w", "h"))
+        return cls(M, w, h)
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,15 @@ def _base_point_step(d1, d2):
 
 
 def _stabilizer_powers(T: UnimodularMatrix2, k: int):
-    """T^0, T^1, ..., T^(p-1), where p is the period of T modulo k."""
-    F = UnimodularMatrix2.identity()
-    ident = F.mod(k)
+    """T^0, ..., T^(p-1) modulo k as (m2, m1, n2, n1) tuples; p is the period of T mod k."""
+    t2, t1, s2, s1 = T.mod(k)
+    F = ident = UnimodularMatrix2.identity().mod(k)
     for _ in range(10**6):  # the period is finite, but bound the work for huge k
         yield F
-        F = F @ T
-        if F.mod(k) == ident:
+        m2, m1, n2, n1 = F
+        F = ((m2 * t2 + m1 * s2) % k, (m2 * t1 + m1 * s1) % k,
+             (n2 * t2 + n1 * s2) % k, (n2 * t1 + n1 * s1) % k)
+        if F == ident:
             return
     raise RuntimeError("stabilizer cycle did not close")
 
@@ -209,9 +213,9 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
 
     # top rows: some stabilizer power must match both components at once
     g_top = gcd(*u[2:], k)
-    for period, f in enumerate(_stabilizer_powers(stabilizer_generator(d1.alpha), k), 1):
-        fu = f.apply_vector((u[0], u[1]))
-        if (y[0] - fu[0]) % g_top == 0 and (y[1] - fu[1]) % g_top == 0:
+    T = stabilizer_generator(d1.alpha)
+    for m, (f2, f1, e2, e1) in enumerate(_stabilizer_powers(T, k)):
+        if (y[0] - f2 * u[0] - f1 * u[1]) % g_top == (y[1] - e2 * u[0] - e1 * u[1]) % g_top == 0:
             break
     else:
         return Decision(
@@ -219,9 +223,11 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
             certificate={
                 "reason": "congruence_top",
                 "modulus": g_top,
-                "stabilizer_period_mod_k": period,
+                "stabilizer_period_mod_k": m + 1,
             },
         )
+    f = T**m
+    fu = f.apply_vector((u[0], u[1]))
 
     # back-substitute concrete S and B entries
     S = tuple(_solve(u[2:], y[r] - fu[r], k) for r in range(2))
@@ -281,7 +287,7 @@ def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
     if cached is not None:
         return cached
     T = stabilizer_generator(d1.alpha)
-    f_tops = [F.apply_vector((u[0], u[1])) for F in _stabilizer_powers(T, k)]
+    f_tops = [(a * u[0] + b * u[1], c * u[0] + d * u[1]) for a, b, c, d in _stabilizer_powers(T, k)]
     m2 = n - 2
     tail = u[2:]
     upper_cells = [(i, j) for i in range(m2) for j in range(i + 1, m2)]

@@ -207,17 +207,13 @@ class Surd:
         return self._cmp(other) >= 0
 
     def __floor__(self) -> int:
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if b == 0:
-            return a // c
-        s = isqrt(b * b * d)
-        low = a + (s if b > 0 else -s - 1)
-        n = low // c
-        while self >= n + 1:
-            n += 1
-        while self < n:
-            n -= 1
-        return n
+        # For b != 0 the canonical form has d square-free and d > 1, so b*b*d
+        # is not a square and y = b*sqrt(d) = +-sqrt(b*b*d) is never an integer:
+        # floor(y) is isqrt(b*b*d), or -isqrt(b*b*d) - 1 when b < 0 (b = 0
+        # gives 0).  With c > 0, floor((a + y) / c) == (a + floor(y)) // c.
+        a, b, c = self.a, self.b, self.c
+        s = isqrt(b * b * self.d)
+        return (a + (s if b >= 0 else -s - 1)) // c
 
     def floor(self) -> int:
         return self.__floor__()
@@ -318,7 +314,8 @@ class ContinuedFraction:
         extra = set(obj) - {"preperiod", "period"}
         if extra:
             raise ValueError(f"unknown continued fraction fields: {sorted(extra)}")
-        return cls(tuple(obj["preperiod"]), tuple(obj.get("period", ())))
+        pre, per = obj["preperiod"], obj.get("period", ())
+        return cls(*(tuple(json_int(a, "partial quotient") for a in q) for q in (pre, per)))
 
 
 @dataclass(frozen=True)
@@ -404,10 +401,9 @@ class UnimodularMatrix2:
         return UnimodularMatrix2(-self.m2, -self.m1, -self.n2, -self.n1)
 
     def __pow__(self, e: int) -> "UnimodularMatrix2":
-        base = self if e >= 0 else self.inverse()
-        out = UnimodularMatrix2.identity()
-        for _ in range(abs(e)):
-            out = out @ base
+        base, out = (self if e >= 0 else self.inverse()), UnimodularMatrix2.identity()
+        for bit in bin(abs(e))[2:]:  # repeated squaring, high bit first
+            out = out @ out @ base if bit == "1" else out @ out
         return out
 
     def mod(self, k: int) -> tuple:
@@ -423,7 +419,7 @@ class UnimodularMatrix2:
 
     @classmethod
     def from_json(cls, obj) -> "UnimodularMatrix2":
-        m2, m1, n2, n1 = obj
+        m2, m1, n2, n1 = (json_int(x, "matrix entry") for x in obj)
         return cls(m2, m1, n2, n1)
 
 
@@ -482,9 +478,10 @@ class AlphaProfile:
         seen = {}
         cur = x
         for _ in range(_MAX_GAUSS_STEPS):
-            a = cur.floor()
-            quotients.append(a)
-            cur = (cur - a).inverse()
+            q = cur.floor()
+            quotients.append(q)
+            a = cur.a - q * cur.c  # cur - q == (a + b*sqrt(d)) / c; invert that
+            cur = Surd(cur.c * a, -cur.c * cur.b, a * a - cur.b * cur.b * cur.d, cur.d)
             start = seen.get(cur)
             if start is not None:
                 cycle = {state: i for state, i in seen.items() if i >= start}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactnum import UnimodularMatrix2
+from .exactnum import UnimodularMatrix2, json_int
 
 
 def mat_identity(n: int) -> tuple:
@@ -192,6 +192,6 @@ class StructuredMatrix:
         return cls(
             UnimodularMatrix2.from_json(obj["f_alpha"]),
             UnimodularMatrix2.from_json(obj["A"]),
-            tuple(tuple(row) for row in obj["S"]),
-            tuple(tuple(row) for row in obj["B"]),
+            tuple(tuple(json_int(x, "S entry") for x in row) for row in obj["S"]),
+            tuple(tuple(json_int(x, "B entry") for x in row) for row in obj["B"]),
         )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from circleconj import conjugacy
-from circleconj.circlegroup import CircleGroupDescriptor, validate_g
+from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, validate_g
 from circleconj.conjugacy import (
     ConjugacyWitness,
     StructuredMatrix,
@@ -24,6 +24,7 @@ from circleconj.conjugacy import (
 )
 from circleconj.exactnum import (
     CertificateError,
+    ContinuedFraction,
     NonQuadraticAlpha,
     Surd,
     UnimodularMatrix2,
@@ -103,6 +104,26 @@ def test_pinned_trivial_f_pair():
     assert dec.witness.M.f_alpha == UnimodularMatrix2.identity()
     assert dec.witness.w == (0, 2)
     assert dec.witness.h == (0, 1)
+
+
+def test_long_stabilizer_period_is_walked_modulo_k():
+    # T, the stabilizer generator of sqrt(2) - 1, has period 40024 modulo the
+    # prime 20011; only the matched power is built as an exact matrix
+    k = 20011
+    d1 = D(ROOT2M1, 2, k, (1, 0))
+    dec = decide(d1, D(ROOT2M1, 2, k, (1, 1)))
+    assert dec.certificate == {
+        "reason": "congruence_top",
+        "modulus": k,
+        "stabilizer_period_mod_k": 40024,
+    }
+    T = stabilizer_generator(ROOT2M1)
+    v = tuple(x % k for x in (T ** 30000).apply_vector((1, 0)))
+    d2 = D(ROOT2M1, 2, k, v)
+    dec = decide(d1, d2)
+    assert dec.verdict == "conjugate"
+    assert tuple(x % k for x in dec.witness.M.f_alpha.apply_vector((1, 0))) == v
+    assert check_witness(d1, d2, dec.witness) == (True, None)
 
 
 def test_identical_descriptors_give_identity_witness():
@@ -218,6 +239,36 @@ def test_witness_json_round_trip():
     blob = decide(d1, d2).to_json()
     assert blob["verdict"] == "conjugate"
     assert set(blob["witness"]) == {"f_alpha", "A", "S", "B", "w", "h"}
+
+
+_M3 = StructuredMatrix.identity(3).to_json()
+
+
+@pytest.mark.parametrize(
+    "reader, obj",
+    [
+        pytest.param(CircleElement.from_json, {"j": 1.5, "h": [0, 0]}, id="element-j-float"),
+        pytest.param(CircleElement.from_json, {"j": True, "h": [0, 0]}, id="element-j-bool"),
+        pytest.param(CircleElement.from_json, {"j": 1, "h": [0.7, 0]}, id="element-h-float"),
+        pytest.param(ContinuedFraction.from_json, {"preperiod": [1.0]}, id="cf-preperiod-float"),
+        pytest.param(
+            ContinuedFraction.from_json, {"preperiod": [1], "period": [True]}, id="cf-period-bool"
+        ),
+        pytest.param(UnimodularMatrix2.from_json, [1, 0, 0, 1.0], id="matrix-float"),
+        pytest.param(UnimodularMatrix2.from_json, [True, 0, 0, 1], id="matrix-bool"),
+        pytest.param(StructuredMatrix.from_json, {**_M3, "S": [[0.5], [0]]}, id="structured-S"),
+        pytest.param(StructuredMatrix.from_json, {**_M3, "B": [[True]]}, id="structured-B"),
+        pytest.param(
+            ConjugacyWitness.from_json, {**_M3, "w": [0, 0, 2.0], "h": [0, 0, 1]}, id="witness-w"
+        ),
+        pytest.param(
+            ConjugacyWitness.from_json, {**_M3, "w": [0, 0, 0], "h": [False, 0, 0]}, id="witness-h"
+        ),
+    ],
+)
+def test_json_readers_reject_non_integers(reader, obj):
+    with pytest.raises(ValueError, match="must be an integer"):
+        reader(obj)
 
 
 def test_witness_invert_and_compose():

@@ -293,6 +293,16 @@ def test_matrix_inverse_and_powers():
         assert (M ** 0).rows() == I.rows()
 
 
+def test_matrix_power_matches_repeated_products():
+    T = UnimodularMatrix2(0, 1, 1, 2)
+    for base in (T, -T, T.inverse(), UnimodularMatrix2(1, 1, 0, 1)):
+        product = UnimodularMatrix2.identity()
+        for e in range(70):
+            assert base ** e == product
+            assert base ** -e == product.inverse()
+            product = product @ base
+
+
 def test_matrix_vector_action_scales_translation_lengths():
     # with y = M(x) and u = m2 + n2*x, scaling by u carries the lattice
     # Z + Z*y onto Z + Z*x coordinate-wise through the plain matrix action:
