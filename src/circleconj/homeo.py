@@ -1,8 +1,10 @@
 """Expression trees for line and circle homeomorphisms, with evaluation.
 
 Expressions are immutable trees of small node dataclasses.  Evaluation is
-pure, runs under an mpmath working precision taken from a Precision record,
-and follows a documented error model:
+pure: each call compiles its tree once into closures over raw mpmath.libmp
+values at ``working_bits``, rounding to nearest, which make the calls that
+mpf arithmetic makes under ``workprec``, in the same order, so results are
+bit-identical to evaluating with mpf objects.  It follows an error model:
 
 * results are trusted only at distance >= ``singular_margin`` (delta) from the
   breakpoints of the map (the integers for wrapped line maps, the marked
@@ -25,6 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import (
+    fhalf, fone, from_float, from_int, fzero, mpf_add, mpf_atan, mpf_div, mpf_eq, mpf_floor,
+    mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sub, mpf_tan,
+    round_nearest, to_int, to_str,
+)
 
 from .exactnum import Surd, json_int
 
@@ -229,7 +236,9 @@ def circle_distance(a, b):
     return min(d, 1 - d)
 
 
-# ----------------------------------------------------------------- utilities
+# ----------------------------------------------------------------- compiler
+
+_RN = round_nearest
 
 
 @lru_cache(maxsize=4096)
@@ -237,33 +246,25 @@ def _surd_mpf_cached(s: Surd, bits: int):
     return s.value(bits)
 
 
-def _to_mpf(x, p: Precision):
+def _raw(x, prec: int):
+    """x as an mpf tuple: what ``mpmath.mpf(x)`` gives under workprec(prec)."""
     if isinstance(x, Surd):
-        return _surd_mpf_cached(x, p.working_bits)
+        return _surd_mpf_cached(x, prec)._mpf_
     if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+        return mpf_div(from_int(x.numerator, prec, _RN), from_int(x.denominator), prec, _RN)
+    return mpmath.mpf(x, prec=prec)._mpf_
 
 
-def _h(x):
-    return mpmath.mpf(1) / 2 + mpmath.atan(x) / mpmath.pi
+def _edge(frac, prec: int):
+    """min(frac, 1 - frac): how far a fractional part lies from the integers."""
+    rest = mpf_sub(fone, frac, prec, _RN)
+    return rest if mpf_lt(rest, frac) else frac
 
 
-def _h_inv(y):
-    if y <= 0 or y >= 1:
-        raise EvalError("base map inverse needs an argument strictly inside (0, 1)")
-    if y == mpmath.mpf(1) / 2:
-        return mpmath.mpf(0)
-    return mpmath.tan(mpmath.pi * (y - mpmath.mpf(1) / 2))
-
-
-def _interior_guard(frac, p: Precision) -> None:
-    eps = min(frac, 1 - frac)
-    if eps < mpmath.mpf(2) ** -(p.working_bits // 2):
-        raise PrecisionExhausted(
-            "breakpoint passage beyond precision headroom "
-            f"(distance {mpmath.nstr(mpmath.mpf(eps), 5)})"
-        )
+def _inside_margin(y, margin: float, prec: int) -> bool:
+    """Whether 0 < dist(y, Z) < margin: an inexact input inside the trust margin."""
+    d = _edge(mpf_sub(y, mpf_floor(y, prec, _RN), prec, _RN), prec)
+    return mpf_gt(d, fzero) and mpf_lt(d, from_float(margin))
 
 
 def _nodes(e: HomeoExpr) -> list:
@@ -279,87 +280,177 @@ def _nodes(e: HomeoExpr) -> list:
     return out
 
 
-# ------------------------------------------------------------------ evaluator
-#
-# One core walks the tree for both domains.  Identity, Compose, Inverse and
-# Power act the same on the line and on the circle; every other node belongs
-# to one domain and is looked up in that domain's table.  Each evaluator takes
-# (node, point, precision, inverse?, table) and recurses through ``_eval``
-# with the table of the domain its child lives in.
+def _marked_index(t, k: int):
+    if isinstance(t, Fraction) and k % t.denominator == 0:
+        return int(t * k)
+    return None
 
 
-def _eval(e: HomeoExpr, x, p: Precision, inv: bool, table: dict):
-    step = table.get(type(e))
-    if step is None:
-        domain = "line" if table is _LINE else "circle"
-        raise EvalError(f"{type(e).__name__} is not a {domain} node")
-    return step(e, x, p, inv, table)
-
-
-def _repeat(inner: HomeoExpr, x, n: int, p: Precision, inv: bool, table: dict, what: str):
-    """inner^n at x by repeated composition, capped by ``power_cap``."""
-    if abs(n) > p.power_cap:
-        raise PowerCapExceeded(f"{what} {n} exceeds cap {p.power_cap}")
-    inner_inv = inv if n >= 0 else not inv
-    for _ in range(abs(n)):
-        x = _eval(inner, x, p, inner_inv, table)
-    return x
-
-
-def _eval_compose(e: Compose, x, p: Precision, inv: bool, table: dict):
-    for item in e.items if inv else reversed(e.items):
-        x = _eval(item, x, p, inv, table)
-    return x
-
-
-_SHARED = {
-    Identity: lambda e, x, p, inv, table: x,
-    Compose: _eval_compose,
-    Inverse: lambda e, x, p, inv, table: _eval(e.inner, x, p, not inv, table),
-    Power: lambda e, x, p, inv, table: _repeat(e.inner, x, e.e, p, inv, table, "power"),
-}
-
-
-# ------------------------------------------------------------ line evaluator
-
-
-def _eval_hbar_wrap(e: HbarWrap, x, p: Precision, inv: bool, table: dict):
-    i = mpmath.floor(x)
-    frac = x - i
-    if frac == 0:
+def _chain(steps):
+    def chained(x):
+        for f in steps:
+            x = f(x)
         return x
-    _interior_guard(frac, p)
-    w = _eval(e.inner, _h_inv(frac), p, inv, table)
-    return _h(w) + i
+
+    return chained
 
 
-def _eval_staircase(e: Staircase, x, p: Precision, inv: bool, table: dict):
-    ifl = mpmath.floor(x)
-    frac = x - ifl
-    if frac == 0:
-        return x
-    _interior_guard(frac, p)
-    return _repeat(e.inner, x, int(ifl), p, inv, table, "staircase exponent")
+def _fail(exc_type, message: str):
+    def raising(x):
+        raise exc_type(message)
+
+    return raising
 
 
-def _eval_translate(e: Translate, x, p: Precision, inv: bool, table: dict):
-    a = _surd_mpf_cached(e.a, p.working_bits)
-    return x - a if inv else x + a
+_LINE_NODES = {Translate, Scale, HbarBase, HbarWrap, Staircase}
+_CIRCLE_NODES = {CanonicalF, CircleExtend}
 
 
-def _eval_scale(e: Scale, x, p: Precision, inv: bool, table: dict):
-    u = _surd_mpf_cached(e.u, p.working_bits)
-    return x / u if inv else x * u
+def _compiler(p: Precision):
+    """compile(e, inv, line): a closure for e, or its inverse when inv, on raw
+    points of the line (line=True; mpf tuples) or of the circle (Fractions or
+    mpf tuples).  Pi, the headroom 2^-(working_bits/2) and the Surd constants
+    are bound once per compile.  A node its domain does not accept, or a power
+    over the cap, compiles to a closure that raises when a point reaches it."""
+    prec, cap = p.working_bits, p.power_cap
+    pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
+    def guard(frac) -> None:
+        eps = _edge(frac, prec)
+        if mpf_lt(eps, headroom):
+            raise PrecisionExhausted(
+                f"breakpoint passage beyond precision headroom (distance {to_str(eps, 5)})"
+            )
 
-_LINE = {
-    **_SHARED,
-    Translate: _eval_translate,
-    Scale: _eval_scale,
-    HbarBase: lambda e, x, p, inv, table: _h_inv(x) if inv else _h(x),
-    HbarWrap: _eval_hbar_wrap,
-    Staircase: _eval_staircase,
-}
+    def h(x):
+        return mpf_add(fhalf, mpf_div(mpf_atan(x, prec, _RN), pi, prec, _RN), prec, _RN)
+
+    def h_inv(y):
+        if mpf_le(y, fzero) or mpf_ge(y, fone):
+            raise EvalError("base map inverse needs an argument strictly inside (0, 1)")
+        if mpf_eq(y, fhalf):
+            return fzero
+        return mpf_tan(mpf_mul(pi, mpf_sub(y, fhalf, prec, _RN), prec, _RN), prec, _RN)
+
+    def rotate(t, q: Fraction):
+        """t + q mod 1, exact on Fractions."""
+        if isinstance(t, Fraction):
+            return (t + q) % 1
+        v = mpf_add(t, _raw(q, prec), prec, _RN)
+        return mpf_sub(v, mpf_floor(v, prec, _RN), prec, _RN)
+
+    def arc_floor(t, k: int) -> int:
+        """Index j with t in (j/k, (j+1)/k), guarding inexact near-marked points."""
+        if isinstance(t, Fraction):
+            return int(t * k)  # exact; t is known not to be marked here
+        kt = mpf_mul_int(t, k, prec, _RN)
+        j = int(to_int(mpf_floor(kt, prec, _RN)))
+        guard(mpf_sub(kt, from_int(j), prec, _RN))
+        return min(max(j, 0), k - 1)
+
+    def chart_to_line(v, k: int):
+        """Lift a point of the first arc (1/k, 2/k) to the line through the chart."""
+        y = mpf_sub(mpf_mul_int(_raw(v, prec), k, prec, _RN), fone, prec, _RN)
+        if mpf_lt(y, fzero):
+            y = mpf_add(y, fone, prec, _RN)  # only for k = 1, where the arc lift lives in (1, 2)
+        guard(y)
+        return h_inv(y)
+
+    def chart_from_line(w, k: int):
+        v = mpf_div(mpf_add(h(w), fone, prec, _RN), from_int(k), prec, _RN)
+        return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
+
+    def f_steps(fnode: HomeoExpr, inverse: bool):
+        """(v, r) -> r conjugation steps of a cycle map.  A plain CanonicalF
+        moves points rigidly along the paths used here (arc 1 up to arc i,
+        arc i down to arc 1), so it reduces to an exact rotation."""
+        if isinstance(fnode, CanonicalF):
+            return lambda v, r: rotate(v, Fraction(-r if inverse else r, fnode.k)) if r else v
+        f = compile(fnode, inverse, False)
+        return lambda v, r: _chain([f] * r)(v)
+
+    def compile(e: HomeoExpr, inv: bool, line: bool):
+        kind = type(e)
+        if kind is Identity:
+            return lambda x: x
+        if kind is Inverse:
+            return compile(e.inner, not inv, line)
+        if kind is Compose:
+            return _chain([compile(c, inv, line) for c in (e.items if inv else reversed(e.items))])
+        if kind is Power:
+            if abs(e.e) > cap:
+                return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {cap}")
+            return _chain([compile(e.inner, inv if e.e >= 0 else not inv, line)] * abs(e.e))
+        if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
+            domain = "line" if line else "circle"
+            return _fail(EvalError, f"{kind.__name__} is not a {domain} node")
+        if kind is Translate:
+            a, op = _raw(e.a, prec), mpf_sub if inv else mpf_add
+            return lambda x: op(x, a, prec, _RN)
+        if kind is Scale:
+            u, op = _raw(e.u, prec), mpf_div if inv else mpf_mul
+            return lambda x: op(x, u, prec, _RN)
+        if kind is HbarBase:
+            return h_inv if inv else h
+        if kind is HbarWrap:
+            inner = compile(e.inner, inv, True)
+
+            def wrapped(x):
+                i = mpf_floor(x, prec, _RN)
+                frac = mpf_sub(x, i, prec, _RN)
+                if mpf_eq(frac, fzero):
+                    return x
+                guard(frac)
+                return mpf_add(h(inner(h_inv(frac))), i, prec, _RN)
+
+            return wrapped
+        if kind is Staircase:
+            up, down = compile(e.inner, inv, True), compile(e.inner, not inv, True)
+
+            def stairs(x):
+                ifl = mpf_floor(x, prec, _RN)
+                frac = mpf_sub(x, ifl, prec, _RN)
+                if mpf_eq(frac, fzero):
+                    return x
+                guard(frac)
+                n = int(to_int(ifl))
+                if abs(n) > cap:
+                    raise PowerCapExceeded(f"staircase exponent {n} exceeds cap {cap}")
+                return _chain([up if n >= 0 else down] * abs(n))(x)
+
+            return stairs
+        k = e.k
+        if kind is CanonicalF:
+            rigid, gtilde = isinstance(e.gtilde, Identity), compile(e.gtilde, inv, True)
+            q = Fraction(-1 if inv else 1, k)
+
+            def cycle(t):
+                jm = _marked_index(t, k)
+                if jm is not None:
+                    return Fraction((jm - 1 if inv else jm + 1) % k, k)
+                j = arc_floor(t, k)
+                if rigid or (j != 1 % k if inv else j >= 1):
+                    return rotate(t, q)
+                if inv:
+                    return rotate(chart_from_line(gtilde(chart_to_line(t, k)), k), q)
+                return chart_from_line(gtilde(chart_to_line(rotate(t, q), k)), k)
+
+            return cycle
+        if isinstance(e.inner, Identity) and (e.fsrc is None or e.fsrc == e.fspec):
+            return lambda t: t  # conjugated identity on every arc
+        fsrc = e.fspec if e.fsrc is None else e.fsrc
+        down, up = (e.fspec, fsrc) if inv else (fsrc, e.fspec)
+        down, up, inner = f_steps(down, True), f_steps(up, False), compile(e.inner, inv, True)
+
+        def extended(t):
+            if _marked_index(t, k) is not None:
+                return t
+            r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j; r steps reach arc 1
+            return up(chart_from_line(inner(chart_to_line(down(t, r), k)), k), r)
+
+        return extended
+
+    return compile
 
 
 def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
@@ -369,114 +460,24 @@ def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
     when the tree wraps or staircases anything) raise PrecisionExhausted;
     exact inputs take exact fixed-point shortcuts where they apply.
     """
-    with mpmath.mp.workprec(p.working_bits):
-        xm = _to_mpf(x, p)
-        if not isinstance(x, (int, Fraction, Surd)) and any(
-            isinstance(node, (HbarWrap, Staircase)) for node in _nodes(e)
+    return _line_function(e, p)(x)
+
+
+def _line_function(e: HomeoExpr, p: Precision):
+    """x -> eval_line(e, x, p), with e compiled once."""
+    run, prec = _compiler(p)(e, False, True), p.working_bits
+
+    def evaluate(x):
+        xm = _raw(x, prec)
+        if (
+            not isinstance(x, (int, Fraction, Surd))
+            and any(isinstance(node, (HbarWrap, Staircase)) for node in _nodes(e))
+            and _inside_margin(xm, p.singular_margin, prec)
         ):
-            frac = xm - mpmath.floor(xm)
-            if 0 < min(frac, 1 - frac) < p.singular_margin:
-                raise PrecisionExhausted(
-                    "input closer than the trust margin to an integer breakpoint"
-                )
-        return _eval(e, xm, p, False, _LINE)
+            raise PrecisionExhausted("input closer than the trust margin to an integer breakpoint")
+        return mpmath.mp.make_mpf(run(xm))
 
-
-# ---------------------------------------------------------- circle evaluator
-
-
-def _marked_index(t, k: int):
-    if isinstance(t, Fraction) and k % t.denominator == 0:
-        return int(t * k)
-    return None
-
-
-def _arc_floor(t, k: int, p: Precision) -> int:
-    """Index j with t in (j/k, (j+1)/k), guarding inexact near-marked points."""
-    if isinstance(t, Fraction):
-        return int(t * k)  # exact; t is known not to be marked here
-    kt = k * t
-    j = int(mpmath.floor(kt))
-    _interior_guard(kt - j, p)
-    return min(max(j, 0), k - 1)
-
-
-def _rot(t, q: Fraction):
-    if isinstance(t, Fraction):
-        return (t + q) % 1
-    v = t + mpmath.mpf(q.numerator) / q.denominator
-    return v - mpmath.floor(v)
-
-
-def _chart_to_line(v, k: int, p: Precision):
-    """Lift a point of the first arc (1/k, 2/k) to the line through the chart."""
-    vm = _to_mpf(v, p)
-    y = k * vm - 1
-    if y < 0:
-        y += 1  # only for k = 1, where the arc lift lives in (1, 2)
-    _interior_guard(y, p)
-    return _h_inv(y)
-
-
-def _chart_from_line(w, k: int):
-    v = (1 + _h(w)) / k
-    if v >= 1:
-        v -= 1  # only for k = 1
-    return v
-
-
-def _f_steps(fnode: HomeoExpr, v, r: int, inverse: bool, p: Precision):
-    """Apply r conjugation steps of a cycle map, staying on the rigid path.
-
-    A plain CanonicalF moves points between consecutive arcs rigidly along
-    the paths used here (arc 1 up to arc i forward, arc i down to arc 1
-    backward), so it reduces to an exact rotation; anything else is iterated
-    through the circle evaluator.
-    """
-    if r == 0:
-        return v
-    if isinstance(fnode, CanonicalF):
-        q = Fraction(-r if inverse else r, fnode.k)
-        return _rot(v, q)
-    for _ in range(r):
-        v = _eval(fnode, v, p, inverse, _CIRCLE)
-    return v
-
-
-def _eval_canonical_f(e: CanonicalF, t, p: Precision, inv: bool, table: dict):
-    k = e.k
-    jm = _marked_index(t, k)
-    if jm is not None:
-        return Fraction((jm - 1 if inv else jm + 1) % k, k)
-    rigid = isinstance(e.gtilde, Identity)
-    j = _arc_floor(t, k, p)
-    if not inv:
-        if rigid or j >= 1:
-            return _rot(t, Fraction(1, k))
-        w = _eval(e.gtilde, _chart_to_line(_rot(t, Fraction(1, k)), k, p), p, False, _LINE)
-        return _chart_from_line(w, k)
-    if rigid or j != 1 % k:
-        return _rot(t, Fraction(-1, k))
-    w = _eval(e.gtilde, _chart_to_line(t, k, p), p, True, _LINE)
-    return _rot(_chart_from_line(w, k), Fraction(-1, k))
-
-
-def _eval_circle_extend(e: CircleExtend, t, p: Precision, inv: bool, table: dict):
-    k = e.k
-    if _marked_index(t, k) is not None:
-        return t
-    if isinstance(e.inner, Identity) and (e.fsrc is None or e.fsrc == e.fspec):
-        return t  # conjugated identity on every arc
-    fsrc = e.fsrc if e.fsrc is not None else e.fspec
-    down, up = (e.fspec, fsrc) if inv else (fsrc, e.fspec)
-    j = _arc_floor(t, k, p)
-    r = (j - 1) % k  # arc index is k for j = 0, else j; r steps reach arc 1
-    v = _f_steps(down, t, r, True, p)
-    w = _eval(e.inner, _chart_to_line(v, k, p), p, inv, _LINE)
-    return _f_steps(up, _chart_from_line(w, k), r, False, p)
-
-
-_CIRCLE = {**_SHARED, CanonicalF: _eval_canonical_f, CircleExtend: _eval_circle_extend}
+    return evaluate
 
 
 def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoint:
@@ -487,18 +488,14 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
     marked point raise PrecisionExhausted.
     """
     point = t if isinstance(t, CirclePoint) else CirclePoint(t)
-    with mpmath.mp.workprec(p.working_bits):
-        raw = point.t
-        if not point.is_exact:
-            ks = {node.k for node in _nodes(e) if isinstance(node, (CanonicalF, CircleExtend))}
-            for k in ks:
-                kt = k * raw
-                frac = kt - mpmath.floor(kt)
-                if 0 < min(frac, 1 - frac) < k * p.singular_margin:
-                    raise PrecisionExhausted(
-                        "input closer than the trust margin to a marked point"
-                    )
-        return CirclePoint(_eval(e, raw, p, False, _CIRCLE))
+    raw, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
+    if not point.is_exact:
+        for k in {node.k for node in _nodes(e) if isinstance(node, (CanonicalF, CircleExtend))}:
+            if _inside_margin(mpf_mul_int(raw, k, prec, _RN), k * p.singular_margin, prec):
+                raise PrecisionExhausted("input closer than the trust margin to a marked point")
+    value = _compiler(p)(e, False, False)(raw)
+    with mpmath.mp.workprec(prec):
+        return CirclePoint(value if isinstance(value, Fraction) else mpmath.mp.make_mpf(value))
 
 
 # --------------------------------------------------------------- constructors
@@ -525,13 +522,14 @@ def staircase(e: HomeoExpr) -> HomeoExpr:
     if not isinstance(e, HomeoExpr):
         raise TypeError("staircase expects a HomeoExpr")
     if not (isinstance(e, (HbarWrap, Identity))):
+        sample = _line_function(e, _STAIR_CHECK)
         tol = mpmath.mpf(_STAIR_TOL)
         for i in range(-2, 3):
-            if abs(eval_line(e, i, _STAIR_CHECK) - i) > tol:
+            if abs(sample(i) - i) > tol:
                 raise ValueError("staircase inner map must fix every integer")
             prev = mpmath.mpf(i)
             for step in (0.25, 0.5, 0.75):
-                v = eval_line(e, i + step, _STAIR_CHECK)
+                v = sample(i + step)
                 if not (i <= v <= i + 1):
                     raise ValueError("staircase inner map must preserve unit intervals")
                 if v <= prev:
@@ -549,16 +547,17 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
     if iters < 1:
         raise ValueError("iters must be positive")
     point = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
-    with mpmath.mp.workprec(p.working_bits):
-        cur = point.t
+    cur, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
+    run = _compiler(p)(e, False, False)
+    with mpmath.mp.workprec(prec):
         total = Fraction(0)
         for _ in range(iters):
-            nxt = _eval(e, cur, p, False, _CIRCLE)
+            nxt = run(cur)
             if isinstance(nxt, Fraction) and isinstance(cur, Fraction):
                 step = (nxt - cur) % 1
             else:
-                d = _to_mpf(nxt, p) - _to_mpf(cur, p)
-                step = d - mpmath.floor(d)
+                d = mpf_sub(_raw(nxt, prec), _raw(cur, prec), prec, _RN)
+                step = mpmath.mp.make_mpf(mpf_sub(d, mpf_floor(d, prec, _RN), prec, _RN))
             total = total + step
             cur = nxt
         return total / iters
