@@ -14,6 +14,7 @@ conjugation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -55,7 +56,7 @@ def _validate_alpha(alpha) -> None:
     if isinstance(alpha, Surd):
         if alpha.is_rational:
             raise ValueError("base point must be irrational")
-        if not (Surd.coerce(0) < alpha < Surd.coerce(1)):
+        if math.floor(alpha) != 0:  # alpha is irrational, so this is 0 < alpha < 1
             raise ValueError("base point must lie strictly between 0 and 1")
     elif isinstance(alpha, NonQuadraticAlpha):
         if alpha.prefix[0] != 0:
