@@ -9,7 +9,8 @@ stdout (CSV/SVG only as files) and deterministic for a fixed seed.
 Exit codes: 0 success (for decide: conjugate; for verify: verified),
 1 negative result (not conjugate / verification failed), 2 invalid input,
 3 undecided or not-applicable (verify on a non-conjugate pair), 4 internal
-error (an exact self-check of a computed certificate failed).
+error (an exact self-check of a computed certificate failed, or any other
+unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a fault of the program, which must not read as exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

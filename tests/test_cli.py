@@ -305,3 +305,16 @@ def test_failed_self_check_exit4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_unexpected_fault_exit4(capsys, tmp_path):
+    # the stabilizer walk gives up on this huge cycle length; that is a fault
+    # of the program, so it must not print a traceback or exit 1
+    paths = [
+        write_descriptor(tmp_path, f"{name}.json", {"alpha": ROOT2, "n": 2, "k": 10000019, "g": g})
+        for name, g in (("a", [1, 0]), ("b", [1, 1]))
+    ]
+    code, out, err = run(capsys, "decide", *paths)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: stabilizer cycle did not close\n"
