@@ -30,7 +30,7 @@ import mpmath
 from mpmath.libmp import (
     fhalf, fone, from_float, from_int, fzero, mpf_add, mpf_atan, mpf_div, mpf_eq, mpf_floor,
     mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sub, mpf_tan,
-    round_nearest, to_int, to_str,
+    mpf_pos, round_nearest, to_int, to_str,
 )
 
 from .exactnum import Surd, json_int
@@ -248,6 +248,8 @@ def _surd_mpf_cached(s: Surd, bits: int):
 
 def _raw(x, prec: int):
     """x as an mpf tuple: what ``mpmath.mpf(x)`` gives under workprec(prec)."""
+    if type(x) is tuple:
+        return mpf_pos(x, prec, _RN)
     if isinstance(x, Surd):
         return _surd_mpf_cached(x, prec)._mpf_
     if isinstance(x, Fraction):
@@ -307,7 +309,7 @@ _CIRCLE_NODES = {CanonicalF, CircleExtend}
 
 
 def _compiler(p: Precision):
-    """compile(e, inv, line): a closure for e, or its inverse when inv, on raw
+    """build(e, inv, line): a closure for e, or its inverse when inv, on raw
     points of the line (line=True; mpf tuples) or of the circle (Fractions or
     mpf tuples).  Pi, the headroom 2^-(working_bits/2) and the Surd constants
     are bound once per compile.  A node its domain does not accept, or a power
@@ -366,21 +368,21 @@ def _compiler(p: Precision):
         arc i down to arc 1), so it reduces to an exact rotation."""
         if isinstance(fnode, CanonicalF):
             return lambda v, r: rotate(v, Fraction(-r if inverse else r, fnode.k)) if r else v
-        f = compile(fnode, inverse, False)
+        f = build(fnode, inverse, False)
         return lambda v, r: _chain([f] * r)(v)
 
-    def compile(e: HomeoExpr, inv: bool, line: bool):
+    def build(e: HomeoExpr, inv: bool, line: bool):
         kind = type(e)
         if kind is Identity:
             return lambda x: x
         if kind is Inverse:
-            return compile(e.inner, not inv, line)
+            return build(e.inner, not inv, line)
         if kind is Compose:
-            return _chain([compile(c, inv, line) for c in (e.items if inv else reversed(e.items))])
+            return _chain([build(c, inv, line) for c in (e.items if inv else reversed(e.items))])
         if kind is Power:
             if abs(e.e) > cap:
                 return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {cap}")
-            return _chain([compile(e.inner, inv if e.e >= 0 else not inv, line)] * abs(e.e))
+            return _chain([build(e.inner, inv if e.e >= 0 else not inv, line)] * abs(e.e))
         if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
             domain = "line" if line else "circle"
             return _fail(EvalError, f"{kind.__name__} is not a {domain} node")
@@ -393,7 +395,7 @@ def _compiler(p: Precision):
         if kind is HbarBase:
             return h_inv if inv else h
         if kind is HbarWrap:
-            inner = compile(e.inner, inv, True)
+            inner = build(e.inner, inv, True)
 
             def wrapped(x):
                 i = mpf_floor(x, prec, _RN)
@@ -405,7 +407,7 @@ def _compiler(p: Precision):
 
             return wrapped
         if kind is Staircase:
-            up, down = compile(e.inner, inv, True), compile(e.inner, not inv, True)
+            up, down = build(e.inner, inv, True), build(e.inner, not inv, True)
 
             def stairs(x):
                 ifl = mpf_floor(x, prec, _RN)
@@ -419,9 +421,8 @@ def _compiler(p: Precision):
                 return _chain([up if n >= 0 else down] * abs(n))(x)
 
             return stairs
-        k = e.k
         if kind is CanonicalF:
-            rigid, gtilde = isinstance(e.gtilde, Identity), compile(e.gtilde, inv, True)
+            k, rigid, gtilde = e.k, isinstance(e.gtilde, Identity), build(e.gtilde, inv, True)
             q = Fraction(-1 if inv else 1, k)
 
             def cycle(t):
@@ -438,9 +439,9 @@ def _compiler(p: Precision):
             return cycle
         if isinstance(e.inner, Identity) and (e.fsrc is None or e.fsrc == e.fspec):
             return lambda t: t  # conjugated identity on every arc
-        fsrc = e.fspec if e.fsrc is None else e.fsrc
+        k, fsrc = e.k, (e.fspec if e.fsrc is None else e.fsrc)
         down, up = (e.fspec, fsrc) if inv else (fsrc, e.fspec)
-        down, up, inner = f_steps(down, True), f_steps(up, False), compile(e.inner, inv, True)
+        down, up, inner = f_steps(down, True), f_steps(up, False), build(e.inner, inv, True)
 
         def extended(t):
             if _marked_index(t, k) is not None:
@@ -450,7 +451,7 @@ def _compiler(p: Precision):
 
         return extended
 
-    return compile
+    return build
 
 
 def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
