@@ -23,9 +23,3 @@ witness_compose witness_invert witness_to_homeo
 def test_public_names_are_pinned():
     assert len(circleconj.__all__) == len(set(circleconj.__all__))
     assert set(circleconj.__all__) == set(PUBLIC)
-
-
-def test_star_import_gives_the_public_names():
-    namespace = {}
-    exec("from circleconj import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
