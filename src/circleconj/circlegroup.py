@@ -183,11 +183,7 @@ def element_expr(d: CircleGroupDescriptor, e: CircleElement) -> HomeoExpr:
         parts.append(f if e.j == 1 else Power(f, e.j))
     if any(e.h):
         parts.append(bar_extend(d, e.h))
-    if not parts:
-        return Identity()
-    if len(parts) == 1:
-        return parts[0]
-    return Compose(tuple(parts))
+    return Compose.of(*parts)
 
 
 def finite_orbit(d: CircleGroupDescriptor) -> list:
@@ -203,9 +199,7 @@ def finite_orbit(d: CircleGroupDescriptor) -> list:
 SCALE_LADDER = (1, 16, 256, 4096)
 
 
-def _draw_coords(
-    d: CircleGroupDescriptor, rng: random.Random, ladder, alpha_f: float, u, aim: float
-):
+def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u, aim: float):
     """Integer coordinates aimed so image points spread evenly over the arcs.
 
     The base chart maps uniform arc measure to a Cauchy-like law on the line,
@@ -221,7 +215,7 @@ def _draw_coords(
     target = math.tan(math.pi * (u - 0.5)) - aim
     # fine rungs dominate: a coarse alpha-lattice would displace its aimed
     # target by up to half a cell and punch holes in the coverage
-    scale = rng.choices(ladder, weights=[2**i for i in range(len(ladder))])[0]
+    scale = rng.choices(SCALE_LADDER, weights=[2**i for i in range(len(SCALE_LADDER))])[0]
     c1 = rng.randint(-scale, scale)
     if d.n == 2:
         return (int(round(target - c1 * alpha_f)), c1)
@@ -248,18 +242,20 @@ def orbit_sample(
     count: int,
     seed: int = 0,
     p: Precision = DEFAULT_PRECISION,
-    ladder=SCALE_LADDER,
 ) -> OrbitSample:
     """Apply ``count`` random small-coordinate elements to t0.
 
     Returns the sorted image points (t0 included), the largest circular gap
     between consecutive images, and the number of draws skipped because the
-    evaluation hit a guard.
+    evaluation hit a guard.  A declared non-quadratic base point is refused
+    with TypeError: its elements have no exact translation lengths.
     """
+    if not isinstance(d.alpha, Surd):
+        raise TypeError("a declared non-quadratic base point has no exact translation lengths")
     if not isinstance(t0, CirclePoint):
         t0 = CirclePoint(t0)
     rng = random.Random(seed)
-    alpha_f = float(d.alpha.value(53)) if isinstance(d.alpha, Surd) else 0.0
+    alpha_f = float(d.alpha.value(53))
     drift = d.g[0] + d.g[1] * alpha_f if d.n == 2 else float(d.g[-1])
     t0f = float(t0.approx(53)) * d.k
     arc0 = min(int(t0f), d.k - 1)
@@ -274,7 +270,7 @@ def orbit_sample(
         # below the base marked point, where the torsion element acts once
         crossed = (arc0 == 0 and j >= 1) or (arc0 >= 1 and arc0 + j >= d.k + 1)
         u = (i // d.k + rng.random()) / strata
-        h = _draw_coords(d, rng, ladder, alpha_f, u, base + (drift if crossed else 0.0))
+        h = _draw_coords(d, rng, alpha_f, u, base + (drift if crossed else 0.0))
         expr = element_expr(d, CircleElement(j, h))
         try:
             image = eval_circle(expr, t0, p)

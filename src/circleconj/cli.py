@@ -8,7 +8,8 @@ stdout (CSV/SVG only as files) and deterministic for a fixed seed.
 
 Exit codes: 0 success (for decide: conjugate; for verify: verified),
 1 negative result (not conjugate / verification failed), 2 invalid input,
-3 undecided or not-applicable (verify on a non-conjugate pair), 4 internal
+3 undecided or not-applicable (verify on a non-conjugate pair, orbit on a
+declared non-quadratic base point), 4 internal
 error (an exact self-check of a computed certificate failed, or any other
 unexpected exception, reported on one line).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -127,6 +129,10 @@ def cmd_orbit(args) -> int:
         p = _precision(args)
     except INPUT_ERRORS as exc:
         return _invalid(exc)
+    if not isinstance(d.alpha, Surd):
+        print("not applicable: a declared non-quadratic base point has no exact translation lengths",
+              file=sys.stderr)
+        return EXIT_UNDECIDED
     sample = orbit_sample(d, CirclePoint(t0), args.count, seed=args.seed, p=p)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(orbit_to_csv(sample))
@@ -233,12 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (attribute, rule, test) for every numeric flag; a subcommand's own flags
+# are checked only when it has them
+_FLAG_RULES = (
+    ("precision_bits", "--precision-bits must be at least 64", lambda v: v >= 64),
+    ("delta", "--delta must be positive", lambda v: v > 0),
+    ("tol", "--tol must be finite and positive", lambda v: 0 < v < math.inf),
+    ("grid", "--grid must be at least 1", lambda v: v >= 1),
+    ("count", "--count must be nonnegative", lambda v: v >= 0),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision_bits < 64:
-        return _invalid(ValueError("--precision-bits must be at least 64"))
-    if not args.delta > 0:
-        return _invalid(ValueError("--delta must be positive"))
+    for name, rule, holds in _FLAG_RULES:
+        if hasattr(args, name) and not holds(getattr(args, name)):
+            return _invalid(ValueError(rule))
     try:
         return args.func(args)
     except CertificateError as exc:

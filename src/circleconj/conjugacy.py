@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
 import mpmath
 
@@ -32,7 +32,6 @@ from .circlegroup import (
 from .exactnum import (
     CertificateError,
     NonQuadraticAlpha,
-    Surd,
     UnimodularMatrix2,
     cf_expand,
     denominator_at,
@@ -435,16 +434,9 @@ def witness_to_homeo(d1, d2, wit: ConjugacyWitness, check: bool = True) -> Homeo
     if wit.M.A == UnimodularMatrix2.identity():
         phi_line = phi_norm
     else:
-        psi_std = scale_conjugator(line1, wit.M.A)
-        if phi_norm == Identity():
-            phi_line = Inverse(psi_std)
-        else:
-            phi_line = Compose((Inverse(psi_std), phi_norm))
+        phi_line = Compose.of(Inverse(scale_conjugator(line1, wit.M.A)), phi_norm)
     f2 = canonical_f(d2)
-    if any(wit.h):
-        fsrc = Compose((canonical_f(d1), bar_extend(d1, wit.h)))
-    else:
-        fsrc = canonical_f(d1)
+    fsrc = Compose.of(canonical_f(d1), bar_extend(d1, wit.h))
     if phi_line == Identity() and fsrc == f2:
         return Identity()
     return CircleExtend(phi_line, d1.k, f2, None if fsrc == f2 else fsrc)
@@ -489,8 +481,10 @@ def verify_conjugation(
     For each generator pair the identity psi o g == g' o psi is sampled on a
     random grid that keeps the trust margin from the marked points; draws
     that still hit a precision guard are skipped and counted.  The report is
-    JSON-ready.
+    JSON-ready.  A tol that is not finite and positive raises ValueError.
     """
+    if not 0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
     rng = random.Random(seed)
     with mpmath.mp.workprec(p.working_bits):
         margin = 2 * p.singular_margin

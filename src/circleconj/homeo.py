@@ -1,19 +1,21 @@
 """Expression trees for line and circle homeomorphisms, with evaluation.
 
 Expressions are immutable trees of small node dataclasses.  Evaluation is
-pure: each call compiles its tree once into closures over raw mpmath.libmp
-values at ``working_bits``, rounding to nearest, which make the calls that
-mpf arithmetic makes under ``workprec``, in the same order, so results are
-bit-identical to evaluating with mpf objects.  It follows an error model:
+pure: each call walks its tree once, compiling it into closures over raw
+mpmath.libmp values at ``working_bits``, rounding to nearest, which make the
+calls that mpf arithmetic makes under ``workprec``, in the same order, so
+results are bit-identical to evaluating with mpf objects.  It follows an
+error model:
 
 * results are trusted only at distance >= ``singular_margin`` (delta) from the
   breakpoints of the map (the integers for wrapped line maps, the marked
-  points j/k for circle maps); the top-level entry points reject inexact
-  inputs inside that margin;
+  points j/k for circle maps); the same walk records those breakpoints, and
+  the entry points reject inexact inputs inside that margin;
 * interior stages of a nested evaluation guard themselves against genuine
   precision exhaustion at the much smaller threshold 2^(-working_bits/2),
   where the tan/arctan round trip really does run out of headroom;
-* powers are evaluated by repeated composition and capped by ``power_cap``.
+* powers and staircase steps are evaluated by repeated composition, at most
+  64 of them.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -45,22 +47,19 @@ class PrecisionExhausted(EvalError):
 
 
 class PowerCapExceeded(EvalError):
-    """A repeated-composition power exceeded the configured cap."""
+    """A repeated-composition power exceeded the cap of 64 compositions."""
 
 
 @dataclass(frozen=True)
 class Precision:
     working_bits: int = 256
     singular_margin: float = 1e-4
-    power_cap: int = 64
 
     def __post_init__(self) -> None:
         if self.working_bits < 64:
             raise ValueError("working_bits must be at least 64")
         if self.singular_margin <= 0:
             raise ValueError("singular_margin must be positive")
-        if self.power_cap < 1:
-            raise ValueError("power_cap must be positive")
 
 
 DEFAULT_PRECISION = Precision()
@@ -128,6 +127,16 @@ class Compose(HomeoExpr):
         if not all(isinstance(e, HomeoExpr) for e in items):
             raise TypeError("Compose expects HomeoExpr items")
         object.__setattr__(self, "items", items)
+
+    @classmethod
+    def of(cls, *parts) -> HomeoExpr:
+        """The composition of parts, outermost first, without its Identity
+        parts: Identity() for none, the part itself for one.  A nested
+        Compose is kept as it is."""
+        parts = tuple(e for e in parts if not isinstance(e, Identity))
+        if not parts:
+            return Identity()
+        return parts[0] if len(parts) == 1 else cls(parts)
 
 
 @dataclass(frozen=True)
@@ -239,6 +248,7 @@ def circle_distance(a, b):
 # ----------------------------------------------------------------- compiler
 
 _RN = round_nearest
+_POWER_CAP = 64
 
 
 @lru_cache(maxsize=4096)
@@ -269,19 +279,6 @@ def _inside_margin(y, margin: float, prec: int) -> bool:
     return mpf_gt(d, fzero) and mpf_lt(d, from_float(margin))
 
 
-def _nodes(e: HomeoExpr) -> list:
-    """Every node of the tree under e (e included): the children of a node
-    are its HomeoExpr field values and the items of a Compose."""
-    out = [e]
-    for node in out:
-        for value in vars(node).values():
-            if isinstance(value, HomeoExpr):
-                out.append(value)
-            elif type(value) is tuple:
-                out.extend(value)
-    return out
-
-
 def _marked_index(t, k: int):
     if isinstance(t, Fraction) and k % t.denominator == 0:
         return int(t * k)
@@ -308,13 +305,17 @@ _LINE_NODES = {Translate, Scale, HbarBase, HbarWrap, Staircase}
 _CIRCLE_NODES = {CanonicalF, CircleExtend}
 
 
-def _compiler(p: Precision):
+def _compiler(p: Precision, marks: set):
     """build(e, inv, line): a closure for e, or its inverse when inv, on raw
     points of the line (line=True; mpf tuples) or of the circle (Fractions or
     mpf tuples).  Pi, the headroom 2^-(working_bits/2) and the Surd constants
     are bound once per compile.  A node its domain does not accept, or a power
-    over the cap, compiles to a closure that raises when a point reaches it."""
-    prec, cap = p.working_bits, p.power_cap
+    over the cap, compiles to a closure that raises when a point reaches it.
+
+    The breakpoints j/k of the nodes met are added to marks as (line, k): k = 1
+    for an HbarWrap or a Staircase, k for a CanonicalF or a CircleExtend, also
+    where a shortcut skips compiling the node and inside an over-cap power."""
+    prec = p.working_bits
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
     def guard(frac) -> None:
@@ -367,6 +368,7 @@ def _compiler(p: Precision):
         moves points rigidly along the paths used here (arc 1 up to arc i,
         arc i down to arc 1), so it reduces to an exact rotation."""
         if isinstance(fnode, CanonicalF):
+            marks.add((False, fnode.k))
             return lambda v, r: rotate(v, Fraction(-r if inverse else r, fnode.k)) if r else v
         f = build(fnode, inverse, False)
         return lambda v, r: _chain([f] * r)(v)
@@ -380,9 +382,10 @@ def _compiler(p: Precision):
         if kind is Compose:
             return _chain([build(c, inv, line) for c in (e.items if inv else reversed(e.items))])
         if kind is Power:
-            if abs(e.e) > cap:
-                return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {cap}")
-            return _chain([build(e.inner, inv if e.e >= 0 else not inv, line)] * abs(e.e))
+            inner = build(e.inner, inv if e.e >= 0 else not inv, line)
+            if abs(e.e) > _POWER_CAP:
+                return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {_POWER_CAP}")
+            return _chain([inner] * abs(e.e))
         if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
             domain = "line" if line else "circle"
             return _fail(EvalError, f"{kind.__name__} is not a {domain} node")
@@ -394,6 +397,7 @@ def _compiler(p: Precision):
             return lambda x: op(x, u, prec, _RN)
         if kind is HbarBase:
             return h_inv if inv else h
+        marks.add((line, 1 if line else e.k))
         if kind is HbarWrap:
             inner = build(e.inner, inv, True)
 
@@ -416,8 +420,8 @@ def _compiler(p: Precision):
                     return x
                 guard(frac)
                 n = int(to_int(ifl))
-                if abs(n) > cap:
-                    raise PowerCapExceeded(f"staircase exponent {n} exceeds cap {cap}")
+                if abs(n) > _POWER_CAP:
+                    raise PowerCapExceeded(f"staircase exponent {n} exceeds cap {_POWER_CAP}")
                 return _chain([up if n >= 0 else down] * abs(n))(x)
 
             return stairs
@@ -454,6 +458,20 @@ def _compiler(p: Precision):
     return build
 
 
+def _evaluate(e: HomeoExpr, x, exact: bool, p: Precision, line: bool):
+    """e at the raw point x of its domain, compiled in one walk.  An inexact x
+    closer than ``singular_margin`` to a breakpoint j/k that the walk recorded
+    raises PrecisionExhausted."""
+    marks, prec = set(), p.working_bits
+    run = _compiler(p, marks)(e, False, line)
+    if not exact:
+        for domain, k in marks:
+            if domain == line and _inside_margin(mpf_mul_int(x, k, prec, _RN), k * p.singular_margin, prec):
+                where = "an integer breakpoint" if line else "a marked point"
+                raise PrecisionExhausted(f"input closer than the trust margin to {where}")
+    return run(x)
+
+
 def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
     """Value of the line homeomorphism at x as an mpmath float.
 
@@ -461,24 +479,8 @@ def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
     when the tree wraps or staircases anything) raise PrecisionExhausted;
     exact inputs take exact fixed-point shortcuts where they apply.
     """
-    return _line_function(e, p)(x)
-
-
-def _line_function(e: HomeoExpr, p: Precision):
-    """x -> eval_line(e, x, p), with e compiled once."""
-    run, prec = _compiler(p)(e, False, True), p.working_bits
-
-    def evaluate(x):
-        xm = _raw(x, prec)
-        if (
-            not isinstance(x, (int, Fraction, Surd))
-            and any(isinstance(node, (HbarWrap, Staircase)) for node in _nodes(e))
-            and _inside_margin(xm, p.singular_margin, prec)
-        ):
-            raise PrecisionExhausted("input closer than the trust margin to an integer breakpoint")
-        return mpmath.mp.make_mpf(run(xm))
-
-    return evaluate
+    exact = isinstance(x, (int, Fraction, Surd))
+    return mpmath.mp.make_mpf(_evaluate(e, _raw(x, p.working_bits), exact, p, True))
 
 
 def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoint:
@@ -489,13 +491,9 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
     marked point raise PrecisionExhausted.
     """
     point = t if isinstance(t, CirclePoint) else CirclePoint(t)
-    raw, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
-    if not point.is_exact:
-        for k in {node.k for node in _nodes(e) if isinstance(node, (CanonicalF, CircleExtend))}:
-            if _inside_margin(mpf_mul_int(raw, k, prec, _RN), k * p.singular_margin, prec):
-                raise PrecisionExhausted("input closer than the trust margin to a marked point")
-    value = _compiler(p)(e, False, False)(raw)
-    with mpmath.mp.workprec(prec):
+    raw = point.t if point.is_exact else point.t._mpf_
+    value = _evaluate(e, raw, point.is_exact, p, False)
+    with mpmath.mp.workprec(p.working_bits):
         return CirclePoint(value if isinstance(value, Fraction) else mpmath.mp.make_mpf(value))
 
 
@@ -523,14 +521,13 @@ def staircase(e: HomeoExpr) -> HomeoExpr:
     if not isinstance(e, HomeoExpr):
         raise TypeError("staircase expects a HomeoExpr")
     if not (isinstance(e, (HbarWrap, Identity))):
-        sample = _line_function(e, _STAIR_CHECK)
         tol = mpmath.mpf(_STAIR_TOL)
         for i in range(-2, 3):
-            if abs(sample(i) - i) > tol:
+            if abs(eval_line(e, i, _STAIR_CHECK) - i) > tol:
                 raise ValueError("staircase inner map must fix every integer")
             prev = mpmath.mpf(i)
             for step in (0.25, 0.5, 0.75):
-                v = sample(i + step)
+                v = eval_line(e, i + step, _STAIR_CHECK)
                 if not (i <= v <= i + 1):
                     raise ValueError("staircase inner map must preserve unit intervals")
                 if v <= prev:
@@ -549,7 +546,7 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
         raise ValueError("iters must be positive")
     point = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
     cur, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
-    run = _compiler(p)(e, False, False)
+    run = _compiler(p, set())(e, False, False)
     with mpmath.mp.workprec(prec):
         total = Fraction(0)
         for _ in range(iters):

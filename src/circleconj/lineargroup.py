@@ -31,7 +31,6 @@ from .homeo import (
     Compose,
     HbarWrap,
     HomeoExpr,
-    Identity,
     Scale,
     Translate,
     hbar_iter,
@@ -108,11 +107,7 @@ def element_to_expr(d: LineGroupDescriptor, coords) -> HomeoExpr:
     for i in range(3, d.n + 1):
         if coords[i - 1]:
             parts.append(hbar_iter(Translate(coords[i - 1]), d.n - i))
-    if not parts:
-        return Identity()
-    if len(parts) == 1:
-        return parts[0]
-    return Compose(tuple(parts))
+    return Compose.of(*parts)
 
 
 def basis_exprs(d: LineGroupDescriptor) -> list:
@@ -251,8 +246,4 @@ def normalizer_expr(d: LineGroupDescriptor, M: StructuredMatrix) -> HomeoExpr:
     if M.A != UnimodularMatrix2.identity():
         parts.append(scale_conjugator(d, M.A))
 
-    if not parts:
-        return Identity()
-    if len(parts) == 1:
-        return parts[0]
-    return Compose(tuple(parts))
+    return Compose.of(*parts)

@@ -21,7 +21,7 @@ from circleconj.circlegroup import (
     power_element,
     validate_g,
 )
-from circleconj.exactnum import Surd
+from circleconj.exactnum import NonQuadraticAlpha, Surd
 from circleconj.homeo import (
     CanonicalF,
     CirclePoint,
@@ -244,6 +244,12 @@ def test_orbit_sample_density_and_shape():
     assert pts == sorted(pts)
     assert all(0 <= t < 1 for t in pts)
     assert sample.max_gap < mpmath.mpf("0.15")
+
+
+def test_orbit_sample_refuses_a_nonquadratic_base_point():
+    d = CircleGroupDescriptor(NonQuadraticAlpha((0, 1, 2, 3, 4, 5)), 2, 2, (1, 0))
+    with pytest.raises(TypeError, match="non-quadratic"):
+        orbit_sample(d, CirclePoint(Fraction(3, 10)), 0, p=P)
 
 
 def test_orbit_outputs():

@@ -271,6 +271,40 @@ def test_bad_precision_flag_exit2(capsys, tmp_path, flag, command):
     assert err == f"error: {flag[0]} must be {bound}\n"
 
 
+@pytest.mark.parametrize(
+    "command, rule",
+    [
+        (("verify", "--corrupt-witness", "--tol", "nan"), "--tol must be finite and positive"),
+        (("verify", "--corrupt-witness", "--tol", "inf"), "--tol must be finite and positive"),
+        (("verify", "--tol", "-1"), "--tol must be finite and positive"),
+        (("verify", "--tol", "0"), "--tol must be finite and positive"),
+        (("verify", "--grid", "0"), "--grid must be at least 1"),
+        (("verify", "--grid", "-2"), "--grid must be at least 1"),
+        (("orbit", "--t0", "0.3", "--count", "-5"), "--count must be nonnegative"),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "grid-zero", "grid-negative", "count-negative"],
+)
+def test_bad_sampling_flag_exit2(capsys, tmp_path, command, rule):
+    a, b = str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")
+    files = (a, "--out", str(tmp_path / "x.csv")) if command[0] == "orbit" else (a, b)
+    code, out, err = run(capsys, command[0], *files, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {rule}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_orbit_nonquadratic_base_point_exit3(capsys, tmp_path):
+    d = write_descriptor(
+        tmp_path, "nq.json", {"alpha": {"nonquadratic_cf": [0, 1, 2, 3, 4, 5]}, "n": 2, "k": 2, "g": [1, 0]}
+    )
+    code, out, err = run(capsys, "orbit", d, "--t0", "0.3", "--out", str(tmp_path / "x.csv"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("not applicable: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_descriptor_missing_field_exit2(capsys, tmp_path):
     bad = write_descriptor(tmp_path, "nog.json", {"alpha": ROOT2, "n": 2, "k": 2})
     for command in ("decide", "verify"):

@@ -320,6 +320,14 @@ def test_realized_conjugation_passes_verification():
     assert all(g["max_deviation"] < 1e-20 for g in report["generators"])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_verification_rejects_a_bad_tolerance(tol):
+    d1, d2 = D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (0, 1))
+    wit = decide(d1, d2).witness
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, tol=tol, p=P)
+
+
 def test_realized_conjugation_with_base_point_change():
     d1, d2 = D(ROOT2M1, 2, 2, (1, 0)), D(HALFROOT2, 2, 2, (0, 1))
     wit = decide(d1, d2).witness

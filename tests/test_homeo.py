@@ -150,6 +150,17 @@ def test_compose_applies_rightmost_first():
     assert eval_line(e, 1) == 8  # 2 * (1 + 3)
 
 
+def test_compose_of_drops_identities_and_keeps_nesting():
+    a, b = Translate(1), Scale(2)
+    assert Compose.of() == Identity()
+    assert Compose.of(Identity(), Identity()) == Identity()
+    assert Compose.of(Identity(), a) is a
+    assert Compose.of(a, Identity(), b) == Compose((a, b))
+    nested = Compose((a, b))
+    assert Compose.of(nested) is nested
+    assert Compose.of(nested, a) == Compose((nested, a))
+
+
 def test_inverse_round_trip():
     rng = random.Random(7)
     exprs = [
@@ -201,6 +212,15 @@ def test_power_cap_enforced():
         eval_line(Power(HbarWrap(Translate(1)), 100), 0.5)
     with pytest.raises(PowerCapExceeded):
         eval_line(staircase(HbarWrap(Translate(1))), 70.3)
+
+
+def test_trust_margin_covers_nodes_a_shortcut_skips():
+    near_third = 1 / 3 + 1e-6
+    f2, f3 = CanonicalF(2, Identity()), CanonicalF(3, Identity())
+    with pytest.raises(PrecisionExhausted):
+        eval_circle(CircleExtend(Identity(), 3, f3), near_third)
+    with pytest.raises(PrecisionExhausted):
+        eval_circle(CircleExtend(HbarWrap(Translate(1)), 2, f2, fsrc=f3), near_third)
 
 
 def test_near_breakpoint_raises_for_inexact_inputs():
@@ -574,4 +594,4 @@ def test_precision_validation():
     with pytest.raises(ValueError):
         Precision(working_bits=32)
     with pytest.raises(ValueError):
-        Precision(power_cap=0)
+        Precision(singular_margin=0)
