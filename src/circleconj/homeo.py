@@ -133,7 +133,7 @@ class Compose(HomeoExpr):
         """The composition of parts, outermost first, without its Identity
         parts: Identity() for none, the part itself for one.  A nested
         Compose is kept as it is."""
-        parts = tuple(e for e in parts if not isinstance(e, Identity))
+        parts = [e for e in parts if not isinstance(e, Identity)]
         if not parts:
             return Identity()
         return parts[0] if len(parts) == 1 else cls(parts)
