@@ -35,7 +35,7 @@ from .homeo import (
     eval_circle,
     marked_point,
 )
-from .exactnum import Surd, json_int
+from .exactnum import Surd, json_int, json_ints, json_object
 from .lineargroup import LineGroupDescriptor, alpha_from_json, element_to_expr
 
 
@@ -88,15 +88,13 @@ class CircleGroupDescriptor:
         return {"alpha": self.alpha.to_json(), "n": self.n, "k": self.k, "g": list(self.g)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CircleGroupDescriptor":
-        extra = set(obj) - {"alpha", "n", "k", "g"}
-        if extra:
-            raise ValueError(f"unknown descriptor fields: {sorted(extra)}")
+    def from_json(cls, obj) -> "CircleGroupDescriptor":
+        obj = json_object(obj, "descriptor", ("alpha", "n", "k", "g"))
         return cls(
             alpha_from_json(obj["alpha"]),
             json_int(obj["n"], "n"),
             json_int(obj["k"], "k"),
-            tuple(json_int(v, "g entry") for v in obj["g"]),
+            json_ints(obj["g"], "g"),
         )
 
 
@@ -135,11 +133,9 @@ class CircleElement:
         return {"j": self.j, "h": list(self.h)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CircleElement":
-        extra = set(obj) - {"j", "h"}
-        if extra:
-            raise ValueError(f"unknown element fields: {sorted(extra)}")
-        return cls(json_int(obj["j"], "j"), tuple(json_int(x, "h entry") for x in obj["h"]))
+    def from_json(cls, obj) -> "CircleElement":
+        obj = json_object(obj, "element", ("j", "h"))
+        return cls(json_int(obj["j"], "j"), json_ints(obj["h"], "h"))
 
 
 def _check_element(d: CircleGroupDescriptor, e: CircleElement) -> None:

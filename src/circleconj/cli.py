@@ -41,7 +41,7 @@ EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
 # what unreadable files, malformed JSON, missing fields and invalid values raise
-INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError)
+INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError, ZeroDivisionError)
 
 
 def _parse_surd(text: str) -> Surd:
@@ -51,14 +51,10 @@ def _parse_surd(text: str) -> Surd:
             raise ValueError(f"malformed surd component {part!r} (expected key=value)")
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in ("a", "b", "c", "d"):
-            raise ValueError(f"unknown surd field {key!r}")
         if key in fields:
             raise ValueError(f"duplicate surd field {key!r}")
         fields[key] = int(value)
-    if "a" not in fields:
-        raise ValueError("surd needs at least the field a")
-    return Surd(fields["a"], fields.get("b", 0), fields.get("c", 1), fields.get("d", 1))
+    return Surd.from_json(fields)
 
 
 def _precision(args) -> Precision:
@@ -157,6 +153,8 @@ def cmd_verify(args) -> int:
         d1 = _load_descriptor(args.d1)
         d2 = _load_descriptor(args.d2)
         p = _precision(args)
+        if 4 * d1.k * args.delta >= 1:  # no grid point would keep the trust margin
+            raise ValueError(f"--delta must be below 1/(4k) = {1 / (4 * d1.k):g} for k = {d1.k}")
     except INPUT_ERRORS as exc:
         return _invalid(exc)
     dec = decide(d1, d2)

@@ -36,7 +36,8 @@ from .exactnum import (
     cf_expand,
     denominator_at,
     equivalent,
-    json_int,
+    json_ints,
+    json_object,
     mobius_apply,
     stabilizer_generator,
 )
@@ -100,13 +101,10 @@ class ConjugacyWitness:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ConjugacyWitness":
-        extra = set(obj) - {"f_alpha", "A", "S", "B", "w", "h"}
-        if extra:
-            raise ValueError(f"unknown witness fields: {sorted(extra)}")
+    def from_json(cls, obj) -> "ConjugacyWitness":
+        obj = json_object(obj, "witness", ("f_alpha", "A", "S", "B", "w", "h"))
         M = StructuredMatrix.from_json({k: obj[k] for k in ("f_alpha", "A", "S", "B")})
-        w, h = (tuple(json_int(x, f"{key} entry") for x in obj[key]) for key in ("w", "h"))
-        return cls(M, w, h)
+        return cls(M, json_ints(obj["w"], "w"), json_ints(obj["h"], "h"))
 
 
 @dataclass(frozen=True)
@@ -481,10 +479,13 @@ def verify_conjugation(
     For each generator pair the identity psi o g == g' o psi is sampled on a
     random grid that keeps the trust margin from the marked points; draws
     that still hit a precision guard are skipped and counted.  The report is
-    JSON-ready.  A tol that is not finite and positive raises ValueError.
+    JSON-ready.  A tol that is not finite and positive raises ValueError, and
+    so does a trust margin of 1/(4k) or more, which leaves no grid point.
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be finite and positive")
+    if 4 * d1.k * p.singular_margin >= 1:
+        raise ValueError(f"singular_margin must be below 1/(4k) = {1 / (4 * d1.k):g}")
     rng = random.Random(seed)
     with mpmath.mp.workprec(p.working_bits):
         margin = 2 * p.singular_margin

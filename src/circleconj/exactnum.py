@@ -33,6 +33,24 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_object(obj, what: str, fields) -> dict:
+    """``obj`` when it is a JSON object with no field outside ``fields``;
+    passing ``obj`` itself as ``fields`` checks only that it is an object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    extra = set(obj) - set(fields)
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    return obj
+
+
+def json_ints(values, name: str) -> tuple:
+    """``values`` as a tuple when it is a JSON list of integers."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a JSON list of integers, got {values!r}")
+    return tuple(json_int(v, f"{name} entry") for v in values)
+
+
 def is_square_free(d: int) -> bool:
     if d <= 0:
         return False
@@ -238,17 +256,12 @@ class Surd:
 
     @classmethod
     def from_json(cls, obj) -> "Surd":
-        if not isinstance(obj, dict):
-            raise ValueError("surd JSON must be an object")
-        extra = set(obj) - {"a", "b", "c", "d"}
-        if extra:
-            raise ValueError(f"unknown surd fields: {sorted(extra)}")
-        return cls(
-            json_int(obj["a"], "a"),
-            json_int(obj.get("b", 0), "b"),
-            json_int(obj.get("c", 1), "c"),
-            json_int(obj.get("d", 1), "d"),
-        )
+        obj = json_object(obj, "surd", ("a", "b", "c", "d"))
+        d = json_int(obj.get("d", 1), "d")
+        if d > 10**12:  # the square-free test is trial division, about 0.2 s at 10**12
+            raise ValueError(f"radicand d = {d} exceeds the bound 10**12")
+        b, c = json_int(obj.get("b", 0), "b"), json_int(obj.get("c", 1), "c")
+        return cls(json_int(obj["a"], "a"), b, c, d)
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -310,12 +323,10 @@ class ContinuedFraction:
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ContinuedFraction":
-        extra = set(obj) - {"preperiod", "period"}
-        if extra:
-            raise ValueError(f"unknown continued fraction fields: {sorted(extra)}")
-        pre, per = obj["preperiod"], obj.get("period", ())
-        return cls(*(tuple(json_int(a, "partial quotient") for a in q) for q in (pre, per)))
+    def from_json(cls, obj) -> "ContinuedFraction":
+        obj = json_object(obj, "continued fraction", ("preperiod", "period"))
+        pre, per = obj["preperiod"], obj.get("period", [])
+        return cls(json_ints(pre, "preperiod"), json_ints(per, "period"))
 
 
 @dataclass(frozen=True)
@@ -419,7 +430,7 @@ class UnimodularMatrix2:
 
     @classmethod
     def from_json(cls, obj) -> "UnimodularMatrix2":
-        m2, m1, n2, n1 = (json_int(x, "matrix entry") for x in obj)
+        m2, m1, n2, n1 = json_ints(obj, "matrix")
         return cls(m2, m1, n2, n1)
 
 

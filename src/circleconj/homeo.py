@@ -15,7 +15,7 @@ error model:
   precision exhaustion at the much smaller threshold 2^(-working_bits/2),
   where the tan/arctan round trip really does run out of headroom;
 * powers and staircase steps are evaluated by repeated composition, at most
-  64 of them.
+  64 of them, or k - 1 for a power of a k-cycle map ``CanonicalF``.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -35,7 +35,7 @@ from mpmath.libmp import (
     mpf_pos, round_nearest, to_int, to_str,
 )
 
-from .exactnum import Surd, json_int
+from .exactnum import Surd, json_int, json_object
 
 
 class EvalError(Exception):
@@ -47,7 +47,7 @@ class PrecisionExhausted(EvalError):
 
 
 class PowerCapExceeded(EvalError):
-    """A repeated-composition power exceeded the cap of 64 compositions."""
+    """A repeated-composition power exceeded its cap of compositions."""
 
 
 @dataclass(frozen=True)
@@ -383,8 +383,10 @@ def _compiler(p: Precision, marks: set):
             return _chain([build(c, inv, line) for c in (e.items if inv else reversed(e.items))])
         if kind is Power:
             inner = build(e.inner, inv if e.e >= 0 else not inv, line)
-            if abs(e.e) > _POWER_CAP:
-                return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {_POWER_CAP}")
+            # the normal form (j, h) raises a cycle map to any power j < k
+            cap = max(_POWER_CAP, e.inner.k - 1) if type(e.inner) is CanonicalF else _POWER_CAP
+            if abs(e.e) > cap:
+                return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {cap}")
             return _chain([inner] * abs(e.e))
         if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
             domain = "line" if line else "circle"
@@ -600,16 +602,12 @@ _FIELD_FROM_JSON = {
 
 
 def expr_from_json(obj) -> HomeoExpr:
-    if not isinstance(obj, dict) or "node" not in obj:
-        raise ValueError("expression JSON must be an object with a 'node' tag")
-    tag = obj["node"]
+    tag = json_object(obj, "expression", obj).get("node")  # its fields depend on the tag
     cls = _NODE_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ValueError(f"unknown expression node {tag!r}")
     node_fields = fields(cls)
-    extra = set(obj) - {f.name for f in node_fields} - {"node"}
-    if extra:
-        raise ValueError(f"unknown fields for {tag}: {sorted(extra)}")
+    json_object(obj, tag, {"node", *(f.name for f in node_fields)})
     args = {}
     for f in node_fields:
         value = obj.get(f.name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactnum import UnimodularMatrix2, json_int
+from .exactnum import UnimodularMatrix2, json_ints, json_object
 
 
 def mat_identity(n: int) -> tuple:
@@ -185,13 +185,11 @@ class StructuredMatrix:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "StructuredMatrix":
-        extra = set(obj) - {"f_alpha", "A", "S", "B"}
-        if extra:
-            raise ValueError(f"unknown structured-matrix fields: {sorted(extra)}")
+    def from_json(cls, obj) -> "StructuredMatrix":
+        obj = json_object(obj, "structured-matrix", ("f_alpha", "A", "S", "B"))
         return cls(
             UnimodularMatrix2.from_json(obj["f_alpha"]),
             UnimodularMatrix2.from_json(obj["A"]),
-            tuple(tuple(json_int(x, "S entry") for x in row) for row in obj["S"]),
-            tuple(tuple(json_int(x, "B entry") for x in row) for row in obj["B"]),
+            tuple(json_ints(row, "S row") for row in obj["S"]),
+            tuple(json_ints(row, "B row") for row in obj["B"]),
         )

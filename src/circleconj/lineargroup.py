@@ -25,6 +25,8 @@ from .exactnum import (
     UnimodularMatrix2,
     denominator_at,
     json_int,
+    json_ints,
+    json_object,
     mobius_apply,
 )
 from .homeo import (
@@ -40,15 +42,10 @@ from .intmat import StructuredMatrix, mat_mul
 
 
 def alpha_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("base point must be a JSON object")
-    if "nonquadratic_cf" in obj:
-        extra = set(obj) - {"nonquadratic_cf"}
-        if extra:
-            raise ValueError(f"unknown base point fields: {sorted(extra)}")
-        prefix = obj["nonquadratic_cf"]
-        return NonQuadraticAlpha(tuple(json_int(a, "nonquadratic_cf entry") for a in prefix))
-    return Surd.from_json(obj)
+    if "nonquadratic_cf" not in json_object(obj, "base point", obj):
+        return Surd.from_json(obj)
+    prefix = json_object(obj, "base point", ("nonquadratic_cf",))["nonquadratic_cf"]
+    return NonQuadraticAlpha(json_ints(prefix, "nonquadratic_cf"))
 
 
 def _validate_alpha(alpha) -> None:
@@ -80,10 +77,8 @@ class LineGroupDescriptor:
         return {"alpha": self.alpha.to_json(), "n": self.n}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LineGroupDescriptor":
-        extra = set(obj) - {"alpha", "n"}
-        if extra:
-            raise ValueError(f"unknown descriptor fields: {sorted(extra)}")
+    def from_json(cls, obj) -> "LineGroupDescriptor":
+        obj = json_object(obj, "descriptor", ("alpha", "n"))
         return cls(alpha_from_json(obj["alpha"]), json_int(obj["n"], "n"))
 
 

@@ -246,6 +246,13 @@ def test_orbit_sample_density_and_shape():
     assert sample.max_gap < mpmath.mpf("0.15")
 
 
+def test_orbit_sample_draws_every_cycle_power_beyond_64():
+    # the normal form raises the cycle map to every power j < k
+    d = CircleGroupDescriptor(ROOT2M1, 2, 100, (1, 0))
+    sample = orbit_sample(d, CirclePoint(Fraction(2137, 10000)), 200, seed=0, p=P)
+    assert sample.skipped == 0
+
+
 def test_orbit_sample_refuses_a_nonquadratic_base_point():
     d = CircleGroupDescriptor(NonQuadraticAlpha((0, 1, 2, 3, 4, 5)), 2, 2, (1, 0))
     with pytest.raises(TypeError, match="non-quadratic"):

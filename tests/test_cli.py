@@ -47,9 +47,18 @@ def test_cf_rational_rejected(capsys):
 
 
 def test_cf_malformed_rejected(capsys):
-    code, _, err = run(capsys, "cf", "--surd", "a=1,q=2")
-    assert code == 2
-    assert "error" in err
+    for surd, message in [
+        ("a=1,q=2", "unknown surd fields: ['q']"),
+        ("a=1,b", "malformed surd component 'b' (expected key=value)"),
+        ("a=1,a=2", "duplicate surd field 'a'"),
+        ("b=1,d=2", "missing field 'a'"),
+        ("a=1,b=1,c=0,d=2", "surd denominator is zero"),
+        ("a=0,b=1,c=1,d=1000000000000000000000000000057", "radicand d = 10"),
+    ]:
+        code, out, err = run(capsys, "cf", "--surd", surd)
+        assert code == 2, surd
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_decide_identical_files(capsys):
@@ -181,6 +190,15 @@ def test_orbit_marked_start_rejected(capsys, tmp_path):
     assert "marked" in err
 
 
+def test_orbit_zero_denominator_start_exit2(capsys, tmp_path):
+    d = str(SAMPLES / "root2_k2_a.json")
+    code, out, err = run(capsys, "orbit", d, "--t0", "1/0", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: Fraction(1, 0)\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_conjugate_pair(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(
@@ -281,8 +299,12 @@ def test_bad_precision_flag_exit2(capsys, tmp_path, flag, command):
         (("verify", "--grid", "0"), "--grid must be at least 1"),
         (("verify", "--grid", "-2"), "--grid must be at least 1"),
         (("orbit", "--t0", "0.3", "--count", "-5"), "--count must be nonnegative"),
+        (("verify", "--delta", "0.3"), "--delta must be below 1/(4k) = 0.125 for k = 2"),
     ],
-    ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "grid-zero", "grid-negative", "count-negative"],
+    ids=[
+        "tol-nan", "tol-inf", "tol-negative", "tol-zero", "grid-zero", "grid-negative",
+        "count-negative", "delta-no-grid",
+    ],
 )
 def test_bad_sampling_flag_exit2(capsys, tmp_path, command, rule):
     a, b = str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")
@@ -314,21 +336,35 @@ def test_descriptor_missing_field_exit2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "descriptor",
+    "descriptor, message",
     [
-        {"alpha": ROOT2, "n": 2, "k": True, "g": [1, 0]},
-        {"alpha": ROOT2, "n": 2, "k": 2, "g": [1.7, 0]},
-        {"alpha": {**ROOT2, "a": -1.5}, "n": 2, "k": 2, "g": [1, 0]},
-        {"alpha": ROOT2, "n": 2.0, "k": 2, "g": [1, 0]},
+        ({"alpha": ROOT2, "n": 2, "k": True, "g": [1, 0]}, "k must be an integer"),
+        ({"alpha": ROOT2, "n": 2, "k": 2, "g": [1.7, 0]}, "g entry must be an integer"),
+        ({"alpha": {**ROOT2, "a": -1.5}, "n": 2, "k": 2, "g": [1, 0]}, "a must be an integer"),
+        ({"alpha": ROOT2, "n": 2.0, "k": 2, "g": [1, 0]}, "n must be an integer"),
+        ("abc", "descriptor must be a JSON object"),
+        (5, "descriptor must be a JSON object"),
+        (None, "descriptor must be a JSON object"),
+        ({"alpha": ROOT2, "n": 2, "k": 2, "g": 5}, "g must be a JSON list of integers"),
+        ({"alpha": ROOT2, "n": 2, "k": 2, "g": "10"}, "g must be a JSON list of integers"),
+        (
+            {"alpha": {"nonquadratic_cf": 5}, "n": 2, "k": 2, "g": [1, 0]},
+            "nonquadratic_cf must be a JSON list of integers",
+        ),
+        ({"alpha": {**ROOT2, "c": 0}, "n": 2, "k": 2, "g": [1, 0]}, "surd denominator is zero"),
+        ({"alpha": {**ROOT2, "d": 10**47 + 7}, "n": 2, "k": 2, "g": [1, 0]}, "radicand d = 10"),
     ],
-    ids=["bool-k", "float-g", "float-alpha", "float-n"],
+    ids=[
+        "bool-k", "float-g", "float-alpha", "float-n", "string", "number", "null", "number-g",
+        "string-g", "number-nonquadratic-cf", "zero-c", "huge-radicand",
+    ],
 )
-def test_descriptor_non_integer_exit2(capsys, tmp_path, descriptor):
+def test_descriptor_non_integer_exit2(capsys, tmp_path, descriptor, message):
     bad = write_descriptor(tmp_path, "bad.json", descriptor)
     code, out, err = run(capsys, "decide", bad, str(SAMPLES / "root2_k2_a.json"))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_failed_self_check_exit4(capsys, monkeypatch):

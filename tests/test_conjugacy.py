@@ -176,6 +176,10 @@ def test_decide_matches_oracle_on_small_sweep():
             continue
         d1, d2 = D(ROOT2M1, n, k, g1), D(ROOT2M1, n, k, g2)
         assert decide(d1, d2).verdict == decide_oracle(d1, d2), (n, k, g1, g2)
+    # the invariant and base-point steps settle these before any enumeration
+    nq = NonQuadraticAlpha((0, 2, 1, 1, 3, 5))
+    assert decide_oracle(D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 3, 2, (1, 0, 0))) == "not_conjugate"
+    assert decide_oracle(D(nq, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (1, 0))) == "undecided_nonquadratic"
 
 
 def test_oracle_bounds():
@@ -190,17 +194,30 @@ def test_check_witness_catches_corruptions():
     d1, d2 = D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (0, 1))
     wit = decide(d1, d2).witness
     assert check_witness(d1, d2, wit) == (True, None)
-    bad_w = ConjugacyWitness(wit.M, (wit.w[0] + 1, wit.w[1]), wit.h)
-    assert not check_witness(d1, d2, bad_w)[0]
-    bad_h = ConjugacyWitness(wit.M, wit.w, (wit.h[0], wit.h[1] + 1))
-    ok, reason = check_witness(d1, d2, bad_h)
-    assert not ok and "h" in reason
-    wrong_A = ConjugacyWitness(
-        StructuredMatrix(wit.M.f_alpha, stabilizer_generator(GOLDEN), wit.M.S, wit.M.B),
-        wit.w,
-        wit.h,
-    )
-    assert not check_witness(d1, d2, wrong_A)[0]
+    M, w, h = wit.M, wit.w, wit.h
+    nq = D(NonQuadraticAlpha((0, 2, 1, 1, 3, 5)), 2, 2, (1, 0))
+
+    def with_M(f_alpha, A):
+        return ConjugacyWitness(StructuredMatrix(f_alpha, A, M.S, M.B), w, h)
+
+    # (first descriptor, second descriptor, witness, the reason check_witness gives)
+    table = [
+        (nq, d2, wit, "witnesses require quadratic base points"),
+        (d1, D(ROOT2M1, 2, 3, (0, 1)), wit, "descriptor ranks or cycle lengths differ"),
+        (d1, d2, ConjugacyWitness(StructuredMatrix.identity(3), (0,) * 3, (0,) * 3),
+         "witness rank does not match the descriptors"),
+        (d1, d2, with_M(M.f_alpha, stabilizer_generator(GOLDEN)),
+         "A does not carry the first base point to the second"),
+        (d1, d2, with_M(M.f_alpha, -M.A), "A is not sign-normalized at the first base point"),
+        (d1, d2, with_M(stabilizer_generator(GOLDEN), M.A), "f_alpha does not fix the base point"),
+        (d1, d2, with_M(-M.f_alpha, M.A), "f_alpha is not sign-normalized at the base point"),
+        (d1, d2, ConjugacyWitness(M, (w[0] + 1, w[1]), h),
+         "w is not a multiple of the cycle length"),
+        (d1, d2, ConjugacyWitness(M, (w[0] + 2, w[1]), h), "the coordinate relation fails"),
+        (d1, d2, ConjugacyWitness(M, w, (h[0], h[1] + 1)), "h does not solve k*h = N^-1 w"),
+    ]
+    for first, second, bad, reason in table:
+        assert check_witness(first, second, bad) == (False, reason), reason
 
 
 def test_decide_raises_when_its_witness_fails_the_check(monkeypatch):
@@ -326,6 +343,16 @@ def test_verification_rejects_a_bad_tolerance(tol):
     wit = decide(d1, d2).witness
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, tol=tol, p=P)
+
+
+def test_verification_rejects_a_margin_that_leaves_no_grid():
+    d1, d2 = D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (0, 1))
+    wit = decide(d1, d2).witness
+    psi = witness_to_homeo(d1, d2, wit)
+    with pytest.raises(ValueError, match=r"singular_margin must be below 1/\(4k\) = 0.125"):
+        verify_conjugation(psi, d1, d2, wit, p=Precision(singular_margin=0.125))
+    report = verify_conjugation(psi, d1, d2, wit, grid_size=4, p=Precision(singular_margin=0.12))
+    assert report["ok"]
 
 
 def test_realized_conjugation_with_base_point_change():

@@ -159,3 +159,22 @@ def test_decide_is_symmetric_and_its_witnesses_check(pair):
     for a, b, dec in ((d1, d2, forward), (d2, d1, backward)):
         if dec.witness is not None:
             assert check_witness(a, b, dec.witness) == (True, None)
+
+
+DESCRIPTOR_KEYS = ("alpha", "n", "k", "g", "a", "b", "c", "d", "nonquadratic_cf")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(DESCRIPTOR_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=24,
+)
+
+
+@laws
+@given(json_values)
+def test_descriptor_reader_returns_or_raises_an_input_error(obj):
+    try:
+        CircleGroupDescriptor.from_json(obj)
+    except (ValueError, KeyError, ZeroDivisionError):
+        pass
