@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 
@@ -98,6 +99,7 @@ class CircleGroupDescriptor:
         )
 
 
+@lru_cache(maxsize=256)
 def canonical_f(d: CircleGroupDescriptor) -> CanonicalF:
     """The cycle map: advances each marked point and carries arc 1 around so
     that its k-th power restricts to the chart copy of the g element."""

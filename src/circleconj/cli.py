@@ -119,7 +119,10 @@ def cmd_decide(args) -> int:
 def cmd_orbit(args) -> int:
     try:
         d = _load_descriptor(args.descriptor)
-        t0 = Fraction(args.t0)
+        try:
+            t0 = Fraction(args.t0)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--t0 must be a decimal or a fraction p/q, got {args.t0!r}") from None
         if (t0 * d.k).denominator == 1:
             raise ValueError(f"t0 = {t0} is a marked point of the k = {d.k} orbit")
         p = _precision(args)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, inf
 
 import mpmath
@@ -248,9 +249,6 @@ def _solve(coeffs: tuple, target: int, k: int) -> tuple:
     return tuple(x)
 
 
-_ORACLE_CACHE: dict = {}
-
-
 def decide_oracle(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> str:
     """Verdict by brute-force enumeration of all structured matrices mod k.
 
@@ -274,15 +272,12 @@ def decide_oracle(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> str:
     return "conjugate" if y in images else "not_conjugate"
 
 
+@lru_cache(maxsize=256)
 def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
     """All values of [[f, S], [0, B]] @ u modulo k, enumerated exhaustively."""
     from itertools import product
 
     n, k, u = d1.n, d1.k, d1.g
-    key = (d1.alpha, n, k, u)
-    cached = _ORACLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     T = stabilizer_generator(d1.alpha)
     f_tops = [(a * u[0] + b * u[1], c * u[0] + d * u[1]) for a, b, c, d in _stabilizer_powers(T, k)]
     m2 = n - 2
@@ -304,9 +299,7 @@ def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
                     (fu[1] + sum(a * b for a, b in zip(s1, tail))) % k,
                 )
             )
-    images = frozenset(top + bot for top in tops for bot in bottoms)
-    _ORACLE_CACHE[key] = images
-    return images
+    return frozenset(top + bot for top in tops for bot in bottoms)
 
 
 def check_witness(d1, d2, wit: ConjugacyWitness):

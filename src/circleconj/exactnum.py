@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 
 
 class RationalInputError(ValueError):
@@ -471,15 +473,17 @@ class AlphaProfile:
     emitted; state 0 is ``x`` itself.  The map runs until a tail state
     repeats, so ``quotients[start:]`` is one full period and ``cycle`` maps
     each state on the cycle to its index.  The integer part always stays in
-    the preperiod (start >= 1).
+    the preperiod (start >= 1).  ``of`` is memoized, so every caller shares
+    one profile per surd; ``cycle`` is a read-only mapping for that reason.
     """
 
     x: Surd
     quotients: tuple
     start: int
-    cycle: dict
+    cycle: MappingProxyType
 
     @classmethod
+    @lru_cache(maxsize=256)
     def of(cls, x: Surd) -> "AlphaProfile":
         if x.is_rational:
             raise RationalInputError(
@@ -495,7 +499,7 @@ class AlphaProfile:
             cur = Surd(cur.c * a, -cur.c * cur.b, a * a - cur.b * cur.b * cur.d, cur.d)
             start = seen.get(cur)
             if start is not None:
-                cycle = {state: i for state, i in seen.items() if i >= start}
+                cycle = MappingProxyType({state: i for state, i in seen.items() if i >= start})
                 return cls(x, tuple(quotients), start, cycle)
             seen[cur] = len(quotients)
         raise RuntimeError("Gauss map failed to cycle (not reachable for quadratic surds)")

@@ -85,6 +85,13 @@ def _egcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _json_rows(rows, name: str) -> tuple:
+    """``rows`` as a tuple of integer tuples when it is a JSON list of integer lists."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{name} must be a JSON list of integer lists, got {rows!r}")
+    return tuple(json_ints(row, f"{name} row") for row in rows)
+
+
 def blockdiag(M: UnimodularMatrix2, n: int) -> tuple:
     """blockdiag(M, identity) as a plain n x n integer matrix."""
     (a, b), (c, d) = M.rows()
@@ -190,6 +197,6 @@ class StructuredMatrix:
         return cls(
             UnimodularMatrix2.from_json(obj["f_alpha"]),
             UnimodularMatrix2.from_json(obj["A"]),
-            tuple(json_ints(row, "S row") for row in obj["S"]),
-            tuple(json_ints(row, "B row") for row in obj["B"]),
+            _json_rows(obj["S"], "S"),
+            _json_rows(obj["B"], "B"),
         )

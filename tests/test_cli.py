@@ -195,7 +195,7 @@ def test_orbit_zero_denominator_start_exit2(capsys, tmp_path):
     code, out, err = run(capsys, "orbit", d, "--t0", "1/0", "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert out == ""
-    assert err == "error: Fraction(1, 0)\n"
+    assert err == "error: --t0 must be a decimal or a fraction p/q, got '1/0'\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -300,10 +300,11 @@ def test_bad_precision_flag_exit2(capsys, tmp_path, flag, command):
         (("verify", "--grid", "-2"), "--grid must be at least 1"),
         (("orbit", "--t0", "0.3", "--count", "-5"), "--count must be nonnegative"),
         (("verify", "--delta", "0.3"), "--delta must be below 1/(4k) = 0.125 for k = 2"),
+        (("orbit", "--t0", "abc"), "--t0 must be a decimal or a fraction p/q, got 'abc'"),
     ],
     ids=[
         "tol-nan", "tol-inf", "tol-negative", "tol-zero", "grid-zero", "grid-negative",
-        "count-negative", "delta-no-grid",
+        "count-negative", "delta-no-grid", "t0-not-a-number",
     ],
 )
 def test_bad_sampling_flag_exit2(capsys, tmp_path, command, rule):

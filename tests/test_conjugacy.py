@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from circleconj.conjugacy import (
     witness_to_homeo,
 )
 from circleconj.exactnum import (
+    AlphaProfile,
     CertificateError,
     ContinuedFraction,
     NonQuadraticAlpha,
@@ -187,6 +189,46 @@ def test_oracle_bounds():
         decide_oracle(D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 13, (1, 0)))
 
 
+# -- one alpha profile per value -------------------------------------------------------
+
+
+def test_deciding_a_family_twice_builds_each_profile_once():
+    alphas = (ROOT2M1, GOLDEN, 1 / (3 + ROOT2M1), 1 / (2 + GOLDEN), Surd(-2, 1, 1, 7), HALFROOT2)
+    family = [D(a, 3, 6, g) for a in alphas for g in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 3, 1))]
+    AlphaProfile.of.cache_clear()
+    for _ in range(2):
+        for d1 in family:
+            for d2 in family:
+                decide(d1, d2)
+    info = AlphaProfile.of.cache_info()
+    assert info.misses == len(set(alphas)) == 6
+    assert info.hits > 0
+
+
+def test_cold_and_warm_profiles_give_identical_decisions():
+    # the family of acceptance 7: every rank-2 pair, and a seeded sample of the rank-3 pairs
+    rng = random.Random(4242)
+    pairs = []
+    for n in (2, 3):
+        for k in range(1, 7):
+            family = [
+                D(alpha, n, k, g)
+                for alpha in (ROOT2M1, GOLDEN)
+                for g in product(range(-2, 3), repeat=n)
+                if validate_g(g, k)[0]
+            ]
+            every = [(d1, d2) for d1 in family for d2 in family]
+            pairs += every if n == 2 else rng.sample(every, 400)
+    cold = []
+    for d1, d2 in pairs:
+        AlphaProfile.of.cache_clear()
+        cold.append(decide(d1, d2).to_json())
+    AlphaProfile.of.cache_clear()
+    warm = [decide(d1, d2).to_json() for d1, d2 in pairs]
+    assert AlphaProfile.of.cache_info().misses == 2
+    assert cold == warm
+
+
 # -- witness integrity ---------------------------------------------------------------
 
 
@@ -261,30 +303,64 @@ def test_witness_json_round_trip():
 _M3 = StructuredMatrix.identity(3).to_json()
 
 
+NOT_AN_INTEGER = "must be an integer"
+
+
 @pytest.mark.parametrize(
-    "reader, obj",
+    "reader, obj, message",
     [
-        pytest.param(CircleElement.from_json, {"j": 1.5, "h": [0, 0]}, id="element-j-float"),
-        pytest.param(CircleElement.from_json, {"j": True, "h": [0, 0]}, id="element-j-bool"),
-        pytest.param(CircleElement.from_json, {"j": 1, "h": [0.7, 0]}, id="element-h-float"),
-        pytest.param(ContinuedFraction.from_json, {"preperiod": [1.0]}, id="cf-preperiod-float"),
+        pytest.param(CircleElement.from_json, {"j": 1.5, "h": [0, 0]}, NOT_AN_INTEGER, id="element-j-float"),
+        pytest.param(CircleElement.from_json, {"j": True, "h": [0, 0]}, NOT_AN_INTEGER, id="element-j-bool"),
+        pytest.param(CircleElement.from_json, {"j": 1, "h": [0.7, 0]}, NOT_AN_INTEGER, id="element-h-float"),
         pytest.param(
-            ContinuedFraction.from_json, {"preperiod": [1], "period": [True]}, id="cf-period-bool"
-        ),
-        pytest.param(UnimodularMatrix2.from_json, [1, 0, 0, 1.0], id="matrix-float"),
-        pytest.param(UnimodularMatrix2.from_json, [True, 0, 0, 1], id="matrix-bool"),
-        pytest.param(StructuredMatrix.from_json, {**_M3, "S": [[0.5], [0]]}, id="structured-S"),
-        pytest.param(StructuredMatrix.from_json, {**_M3, "B": [[True]]}, id="structured-B"),
-        pytest.param(
-            ConjugacyWitness.from_json, {**_M3, "w": [0, 0, 2.0], "h": [0, 0, 1]}, id="witness-w"
+            ContinuedFraction.from_json, {"preperiod": [1.0]}, NOT_AN_INTEGER, id="cf-preperiod-float"
         ),
         pytest.param(
-            ConjugacyWitness.from_json, {**_M3, "w": [0, 0, 0], "h": [False, 0, 0]}, id="witness-h"
+            ContinuedFraction.from_json,
+            {"preperiod": [1], "period": [True]},
+            NOT_AN_INTEGER,
+            id="cf-period-bool",
+        ),
+        pytest.param(UnimodularMatrix2.from_json, [1, 0, 0, 1.0], NOT_AN_INTEGER, id="matrix-float"),
+        pytest.param(UnimodularMatrix2.from_json, [True, 0, 0, 1], NOT_AN_INTEGER, id="matrix-bool"),
+        pytest.param(
+            StructuredMatrix.from_json, {**_M3, "S": [[0.5], [0]]}, NOT_AN_INTEGER, id="structured-S"
+        ),
+        pytest.param(StructuredMatrix.from_json, {**_M3, "B": [[True]]}, NOT_AN_INTEGER, id="structured-B"),
+        pytest.param(
+            StructuredMatrix.from_json,
+            {**_M3, "S": 5},
+            "^S must be a JSON list of integer lists, got 5$",
+            id="structured-S-number",
+        ),
+        pytest.param(
+            StructuredMatrix.from_json,
+            {**_M3, "B": None},
+            "^B must be a JSON list of integer lists, got None$",
+            id="structured-B-null",
+        ),
+        pytest.param(
+            ConjugacyWitness.from_json,
+            {**_M3, "S": 5, "w": [0, 0, 0], "h": [0, 0, 0]},
+            "^S must be a JSON list of integer lists, got 5$",
+            id="witness-S-number",
+        ),
+        pytest.param(
+            ConjugacyWitness.from_json,
+            {**_M3, "w": [0, 0, 2.0], "h": [0, 0, 1]},
+            NOT_AN_INTEGER,
+            id="witness-w",
+        ),
+        pytest.param(
+            ConjugacyWitness.from_json,
+            {**_M3, "w": [0, 0, 0], "h": [False, 0, 0]},
+            NOT_AN_INTEGER,
+            id="witness-h",
         ),
     ],
 )
-def test_json_readers_reject_non_integers(reader, obj):
-    with pytest.raises(ValueError, match="must be an integer"):
+def test_json_readers_reject_non_integers(reader, obj, message):
+    with pytest.raises(ValueError, match=message):
         reader(obj)
 
 

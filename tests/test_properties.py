@@ -14,6 +14,7 @@ from circleconj.exactnum import (
     mobius_apply,
     stabilizer_generator,
 )
+from circleconj.intmat import blockdiag, mat_vec
 from support import signed_power_exponent
 
 laws = settings(derandomize=True, deadline=None)
@@ -159,6 +160,50 @@ def test_decide_is_symmetric_and_its_witnesses_check(pair):
     for a, b, dec in ((d1, d2, forward), (d2, d1, backward)):
         if dec.witness is not None:
             assert check_witness(a, b, dec.witness) == (True, None)
+
+
+@st.composite
+def images_of_alpha(draw, alpha):
+    """alpha carried by 1/(q + .) steps with q >= 1: a GL(2,Z)-equivalent point of (0, 1)."""
+    for q in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        alpha = 1 / (q + alpha)
+    return alpha
+
+
+@laws
+@given(descriptor_pairs(), st.data())
+def test_verdict_survives_an_equivalent_base_point(pair, data):
+    d1, d3 = pair
+    # the same group written over an equivalent base point: the twist is carried by A^-1
+    alpha = data.draw(images_of_alpha(d1.alpha))
+    A = equivalent(d1.alpha, alpha)
+    d2 = CircleGroupDescriptor(alpha, d1.n, d1.k, mat_vec(blockdiag(A.inverse(), d1.n), d1.g))
+    assert decide(d1, d2).verdict == "conjugate"
+    assert decide(d1, d3).verdict == decide(d2, d3).verdict
+    assert decide(d3, d1).verdict == decide(d3, d2).verdict
+
+
+@st.composite
+def small_families(draw):
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    twists = st.tuples(*[st.integers(-2, 2)] * n).filter(lambda g: validate_g(g, k)[0])
+    alpha = draw(st.sampled_from(ALPHAS))
+    alphas = st.sampled_from((alpha, ALPHAS[0])) | images_of_alpha(alpha)
+    members = st.builds(CircleGroupDescriptor, alphas, st.just(n), st.just(k), twists)
+    return draw(st.lists(members, min_size=2, max_size=5))
+
+
+@laws
+@given(small_families())
+def test_conjugate_is_an_equivalence_relation(family):
+    conj = {(a, b): decide(a, b).verdict == "conjugate" for a in family for b in family}
+    for a in family:
+        assert conj[a, a]
+        for b in family:
+            assert conj[a, b] == conj[b, a]
+            for c in family:
+                assert not (conj[a, b] and conj[b, c]) or conj[a, c]
 
 
 DESCRIPTOR_KEYS = ("alpha", "n", "k", "g", "a", "b", "c", "d", "nonquadratic_cf")
