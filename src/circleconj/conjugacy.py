@@ -44,7 +44,6 @@ from .exactnum import (
 )
 from .homeo import (
     CircleExtend,
-    CirclePoint,
     Compose,
     DEFAULT_PRECISION,
     EvalError,
@@ -52,8 +51,9 @@ from .homeo import (
     Identity,
     Inverse,
     Precision,
-    circle_distance,
-    eval_circle,
+    _check_margin,
+    _compile,
+    _raw_distance,
 )
 from .intmat import (
     StructuredMatrix,
@@ -488,7 +488,7 @@ def verify_conjugation(
             kt = d1.k * t
             frac = kt - mpmath.floor(kt)
             if min(frac, 1 - frac) >= d1.k * margin:
-                grid.append(t)
+                grid.append(t._mpf_)
     report = {
         "grid_size": grid_size,
         "tolerance": float(tol),
@@ -497,30 +497,36 @@ def verify_conjugation(
         "generators": [],
         "ok": True,
     }
+    # each map compiled once; psi(x) once per grid point, shared by every g'(psi(x))
+    psi_run, psi_marks = _compile(psi, p, False)
+    checks = []  # (gen, image, g, g', breakpoints of both compositions, deviations)
     for gen, image in conjugation_images(d1, d2, wit):
-        lhs = Compose((psi, element_expr(d1, gen)))
-        rhs = Compose((element_expr(d2, image), psi))
-        worst = mpmath.mpf(0)
-        evaluated = 0
-        skipped = 0
-        for t in grid:
+        g_run, g_marks = _compile(element_expr(d1, gen), p, False)
+        image_run, image_marks = _compile(element_expr(d2, image), p, False)
+        checks.append((gen, image, g_run, image_run, psi_marks | g_marks | image_marks, []))
+    for x in grid:
+        try:
+            y = psi_run(x)
+        except EvalError as exc:
+            y = exc  # raised again for every generator, which skips x
+        for _, _, g_run, image_run, marks, deviations in checks:
             try:
-                a = eval_circle(lhs, CirclePoint(t), p).approx(p.working_bits)
-                b = eval_circle(rhs, CirclePoint(t), p).approx(p.working_bits)
+                _check_margin(x, marks, p, False)  # at x only, as for psi o g and g' o psi
+                a = psi_run(g_run(x))
+                if isinstance(y, EvalError):
+                    raise y
+                deviations.append(_raw_distance(a, image_run(y), mpmath.mp.prec))
             except EvalError:
-                skipped += 1
                 continue
-            evaluated += 1
-            worst = max(worst, circle_distance(a, b))
-        coverage = evaluated / max(1, len(grid))
-        entry = {
+    for gen, image, *_, deviations in checks:
+        worst = max(deviations, default=mpmath.mpf(0))
+        report["generators"].append({
             "generator": gen.to_json(),
             "image": image.to_json(),
             "max_deviation": float(worst),
-            "evaluated": evaluated,
-            "skipped": skipped,
-        }
-        report["generators"].append(entry)
-        if worst > mpmath.mpf(tol) or coverage < 0.9:
+            "evaluated": len(deviations),
+            "skipped": len(grid) - len(deviations),
+        })
+        if worst > mpmath.mpf(tol) or len(deviations) / max(1, len(grid)) < 0.9:
             report["ok"] = False
     return report

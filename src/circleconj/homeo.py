@@ -238,11 +238,8 @@ def circle_distance(a, b):
     if isinstance(ta, Fraction) and isinstance(tb, Fraction):
         d = (ta - tb) % 1
         return min(d, 1 - d)
-    ta = ta if isinstance(ta, mpmath.mpf) else mpmath.mpf(float(ta))
-    tb = tb if isinstance(tb, mpmath.mpf) else mpmath.mpf(float(tb))
-    d = ta - tb
-    d = d - mpmath.floor(d)
-    return min(d, 1 - d)
+    ta, tb = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(float(t)) for t in (ta, tb))
+    return _raw_distance(ta._mpf_, tb._mpf_, mpmath.mp.prec)
 
 
 # ----------------------------------------------------------------- compiler
@@ -305,17 +302,17 @@ _LINE_NODES = {Translate, Scale, HbarBase, HbarWrap, Staircase}
 _CIRCLE_NODES = {CanonicalF, CircleExtend}
 
 
-def _compiler(p: Precision, marks: set):
-    """build(e, inv, line): a closure for e, or its inverse when inv, on raw
-    points of the line (line=True; mpf tuples) or of the circle (Fractions or
-    mpf tuples).  Pi, the headroom 2^-(working_bits/2) and the Surd constants
-    are bound once per compile.  A node its domain does not accept, or a power
-    over the cap, compiles to a closure that raises when a point reaches it.
-
-    The breakpoints j/k of the nodes met are added to marks as (line, k): k = 1
-    for an HbarWrap or a Staircase, k for a CanonicalF or a CircleExtend, also
-    where a shortcut skips compiling the node and inside an over-cap power."""
-    prec = p.working_bits
+def _compile(e: HomeoExpr, p: Precision, line: bool):
+    """(run, marks): e compiled in one walk into a closure on raw points of the
+    line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
+    and the breakpoints j/k of the nodes met, as pairs (line, k): k = 1 for an
+    HbarWrap or a Staircase, k for a CanonicalF or a CircleExtend, also where a
+    shortcut skips compiling the node and inside an over-cap power.  Inside,
+    build(e, inv, line) compiles e, or its inverse when inv.  Pi, the headroom
+    2^-(working_bits/2) and the Surd constants are bound once per compile.  A
+    node its domain does not accept, or a power over the cap, compiles to a
+    closure that raises when a point reaches it."""
+    prec, marks = p.working_bits, set()
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
     def guard(frac) -> None:
@@ -457,21 +454,31 @@ def _compiler(p: Precision, marks: set):
 
         return extended
 
-    return build
+    return build(e, False, line), marks
+
+
+def _check_margin(x, marks, p: Precision, line: bool) -> None:
+    """Raise PrecisionExhausted when the inexact raw point x lies closer than
+    ``singular_margin`` to a breakpoint j/k of its domain in marks."""
+    prec = p.working_bits
+    for domain, k in marks:
+        if domain == line and _inside_margin(mpf_mul_int(x, k, prec, _RN), k * p.singular_margin, prec):
+            where = "an integer breakpoint" if line else "a marked point"
+            raise PrecisionExhausted(f"input closer than the trust margin to {where}")
 
 
 def _evaluate(e: HomeoExpr, x, exact: bool, p: Precision, line: bool):
-    """e at the raw point x of its domain, compiled in one walk.  An inexact x
-    closer than ``singular_margin`` to a breakpoint j/k that the walk recorded
-    raises PrecisionExhausted."""
-    marks, prec = set(), p.working_bits
-    run = _compiler(p, marks)(e, False, line)
+    """e at the raw point x of its domain; an inexact x is margin-tested."""
+    run, marks = _compile(e, p, line)
     if not exact:
-        for domain, k in marks:
-            if domain == line and _inside_margin(mpf_mul_int(x, k, prec, _RN), k * p.singular_margin, prec):
-                where = "an integer breakpoint" if line else "a marked point"
-                raise PrecisionExhausted(f"input closer than the trust margin to {where}")
+        _check_margin(x, marks, p, line)
     return run(x)
+
+
+def _raw_distance(a, b, prec: int):
+    """The shorter arc between two raw circle values, as an mpf at prec bits."""
+    d = mpf_sub(a, b, prec, _RN)
+    return mpmath.mp.make_mpf(_edge(mpf_sub(d, mpf_floor(d, prec, _RN), prec, _RN), prec))
 
 
 def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
@@ -548,7 +555,7 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
         raise ValueError("iters must be positive")
     point = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
     cur, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
-    run = _compiler(p, set())(e, False, False)
+    run = _compile(e, p, False)[0]
     with mpmath.mp.workprec(prec):
         total = Fraction(0)
         for _ in range(iters):

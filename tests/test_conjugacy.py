@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from circleconj import conjugacy
+from circleconj import conjugacy, homeo
 from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, validate_g
 from circleconj.conjugacy import (
     ConjugacyWitness,
@@ -446,6 +446,29 @@ def test_realized_conjugation_rank3():
     psi = witness_to_homeo(d1, d2, dec.witness)
     report = verify_conjugation(psi, d1, d2, dec.witness, grid_size=10, tol=1e-6, p=P)
     assert report["ok"], report
+
+
+@pytest.mark.parametrize("n, k, g1, g2", [(2, 2, (1, 0), (0, 1)), (3, 3, (1, 0, 2), (1, 2, 2))])
+def test_verification_compiles_each_map_once(monkeypatch, n, k, g1, g2):
+    d1, d2 = D(ROOT2M1, n, k, g1), D(HALFROOT2, n, k, g2)
+    wit = decide(d1, d2).witness
+    psi = witness_to_homeo(d1, d2, wit)
+    compiled, compile_tree = [], homeo._compile
+
+    def counting(e, p, line):
+        compiled.append(e)
+        return compile_tree(e, p, line)
+
+    for module in (homeo, conjugacy):  # conjugacy imports the helper by name
+        monkeypatch.setattr(module, "_compile", counting)
+    counts = []
+    for grid_size in (4, 16):
+        compiled.clear()
+        report = verify_conjugation(psi, d1, d2, wit, grid_size=grid_size, p=P)
+        assert report["ok"], report
+        counts.append(len(compiled))
+        assert compiled.count(psi) == 1
+    assert counts == [1 + 2 * (n + 1)] * 2
 
 
 def test_realization_fixes_marked_points_exactly():
