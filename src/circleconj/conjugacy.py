@@ -515,7 +515,7 @@ def verify_conjugation(
                 a = psi_run(g_run(x))
                 if isinstance(y, EvalError):
                     raise y
-                deviations.append(_raw_distance(a, image_run(y), mpmath.mp.prec))
+                deviations.append(_raw_distance(a, image_run(y), p.working_bits))
             except EvalError:
                 continue
     for gen, image, *_, deviations in checks:

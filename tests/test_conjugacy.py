@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from circleconj import conjugacy, homeo
@@ -32,7 +33,7 @@ from circleconj.exactnum import (
     UnimodularMatrix2,
     stabilizer_generator,
 )
-from circleconj.homeo import CirclePoint, Identity, Precision, eval_circle
+from circleconj.homeo import CirclePoint, Identity, Precision, _raw_distance, eval_circle
 from circleconj.intmat import mat_vec
 
 ROOT2M1 = Surd(-1, 1, 1, 2)
@@ -469,6 +470,23 @@ def test_verification_compiles_each_map_once(monkeypatch, n, k, g1, g2):
         counts.append(len(compiled))
         assert compiled.count(psi) == 1
     assert counts == [1 + 2 * (n + 1)] * 2
+
+
+def test_deviation_is_measured_at_working_precision():
+    # verify measures psi o g against g' o psi with _raw_distance at working_bits;
+    # at 53 bits the negative difference of two points 2^-200 apart folded to 0
+    with mpmath.mp.workprec(256):
+        x = mpmath.mpf(1) / 3
+        y = x + mpmath.mpf(2) ** -200
+    for a, b in ((x, y), (y, x)):
+        assert _raw_distance(a._mpf_, b._mpf_, P.working_bits) == mpmath.mpf(2) ** -200
+    # a pair whose second generator reported 0.0 while its siblings reported 2^-127
+    d1, d2 = D(Surd(2, -1, 2, 2), 2, 1, (-2, 1)), D(Surd(31, 1, 137, 2), 2, 1, (2, -2))
+    wit = decide(d1, d2).witness
+    psi = witness_to_homeo(d1, d2, wit)
+    report = verify_conjugation(psi, d1, d2, wit, grid_size=16, p=Precision(working_bits=128))
+    assert report["ok"]
+    assert all(0 < g["max_deviation"] < 1e-30 for g in report["generators"]), report
 
 
 def test_realization_fixes_marked_points_exactly():

@@ -18,7 +18,7 @@ from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, wi
 from circleconj.exactnum import Surd
 from circleconj.homeo import Precision
 
-PINNED = "7ad3e3e62a3a17b615006294e42c1dc1d6b3ca51c3bbccbd5a0587796d1b4c33"
+PINNED = "21bffeb477e09ed82143d5d377772358eed0ada6adfac1251b9c195f3ab0cc1d"
 
 BITS = (128, 256)
 GRID = 16
