@@ -33,7 +33,17 @@ from circleconj.exactnum import (
     UnimodularMatrix2,
     stabilizer_generator,
 )
-from circleconj.homeo import CirclePoint, Identity, Precision, _raw_distance, eval_circle
+from circleconj.homeo import (
+    CanonicalF,
+    CirclePoint,
+    HbarWrap,
+    Identity,
+    Power,
+    Precision,
+    Translate,
+    _raw_distance,
+    eval_circle,
+)
 from circleconj.intmat import mat_vec
 
 ROOT2M1 = Surd(-1, 1, 1, 2)
@@ -430,6 +440,10 @@ def test_verification_rejects_a_margin_that_leaves_no_grid():
         verify_conjugation(psi, d1, d2, wit, p=Precision(singular_margin=0.125))
     report = verify_conjugation(psi, d1, d2, wit, grid_size=4, p=Precision(singular_margin=0.12))
     assert report["ok"]
+    # the margin is tested at the grid point t only, never at g(t) or psi(t),
+    # which this psi moves inside the wide margin
+    report = verify_conjugation(psi, d1, d2, wit, grid_size=16, p=Precision(singular_margin=0.12))
+    assert report["ok"] and all(g["skipped"] == 0 for g in report["generators"])
 
 
 def test_realized_conjugation_with_base_point_change():
@@ -470,6 +484,20 @@ def test_verification_compiles_each_map_once(monkeypatch, n, k, g1, g2):
         counts.append(len(compiled))
         assert compiled.count(psi) == 1
     assert counts == [1 + 2 * (n + 1)] * 2
+
+
+def test_a_point_where_psi_raises_is_skipped_for_every_generator():
+    # this psi raises on the arc (0, 1/2), where its power is over the cap, and
+    # rotates the arc (1/2, 1); the cycle generator swaps the two arcs, so its
+    # left side psi(g(t)) is defined exactly where psi(t) is not
+    d = D(ROOT2M1, 2, 2, (1, 0))
+    wit = decide(d, d).witness
+    psi = CanonicalF(2, Power(HbarWrap(Translate(1)), 100))
+    report = verify_conjugation(psi, d, d, wit, grid_size=16, p=P)
+    cycle = report["generators"][0]
+    assert cycle["generator"]["j"] == 1
+    assert (cycle["evaluated"], cycle["skipped"]) == (0, 16)
+    assert not report["ok"]
 
 
 def test_deviation_is_measured_at_working_precision():

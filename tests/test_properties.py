@@ -6,7 +6,7 @@ import mpmath
 from hypothesis import given, settings, strategies as st
 
 from circleconj.circlegroup import CircleGroupDescriptor, validate_g
-from circleconj.conjugacy import check_witness, decide
+from circleconj.conjugacy import check_witness, decide, witness_compose, witness_invert
 from circleconj.exactnum import (
     Surd,
     denominator_at,
@@ -204,6 +204,22 @@ def test_conjugate_is_an_equivalence_relation(family):
             assert conj[a, b] == conj[b, a]
             for c in family:
                 assert not (conj[a, b] and conj[b, c]) or conj[a, c]
+
+
+@laws
+@given(small_families())
+def test_inverted_and_composed_witnesses_check(family):
+    wit = {}
+    for a in family:
+        for b in family:
+            dec = decide(a, b)
+            if dec.witness is not None:
+                wit[a, b] = dec.witness
+    for (a, b), w_ab in wit.items():
+        assert check_witness(b, a, witness_invert(a, b, w_ab)) == (True, None)
+        for c in family:
+            if (b, c) in wit:
+                assert check_witness(a, c, witness_compose(a, b, c, w_ab, wit[b, c])) == (True, None)
 
 
 DESCRIPTOR_KEYS = ("alpha", "n", "k", "g", "a", "b", "c", "d", "nonquadratic_cf")

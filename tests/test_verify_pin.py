@@ -1,11 +1,13 @@
 """Byte-for-byte pin of ``verify_conjugation`` reports on fixed pairs.
 
 One sha256 covers the canonical JSON (sorted keys, no spaces) of the reports
-for eight conjugate pairs at n in {2, 3} and k in {1, 2, 3, 6}, most with a
+for nine conjugate pairs at n in {2, 3} and k in {1, 2, 3, 6}, most with a
 base change A other than the identity, each verified with its own witness
 and with ``corrupt_witness`` of it, at 128 and 256 bits.  The reports carry
 every generator's ``max_deviation`` and its evaluated and skipped counts; the
-rank-3, k = 1 pair skips a grid point with either witness.  A rewrite of the
+rank-3, k = 1 pair skips a grid point with either witness, and on the last
+pair psi itself raises at one grid point (a staircase over its power cap),
+which every generator skips.  A rewrite of the
 verification loop must leave the digest unchanged; a deliberate change of
 output updates it with a note.
 """
@@ -18,7 +20,7 @@ from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, wi
 from circleconj.exactnum import Surd
 from circleconj.homeo import Precision
 
-PINNED = "21bffeb477e09ed82143d5d377772358eed0ada6adfac1251b9c195f3ab0cc1d"
+PINNED = "1d08d9680204e0292ec9144e62e6056a3d9132486b0bffab5235f6ccfeb6f3f2"
 
 BITS = (128, 256)
 GRID = 16
@@ -33,6 +35,7 @@ PAIRS = (
     ((7, -1, 22, 5), (5, 1, 10, 5), 3, 2, (1, 1, -2), (1, 0, 2)),
     ((3, -1, 7, 2), (32, 1, 73, 2), 3, 3, (2, 2, -1), (-1, 1, 2)),
     ((46, 1, 151, 2), (32, 1, 73, 2), 3, 6, (2, -1, 1), (-2, 0, 1)),
+    ((4, -1, 14, 2), (1088, -1, 4606, 2), 3, 3, (-2, 0, -2), (1, 1, -2)),
 )
 
 
