@@ -520,13 +520,14 @@ def verify_conjugation(
                 continue
     for gen, image, *_, deviations in checks:
         worst = max(deviations, default=mpmath.mpf(0))
-        report["generators"].append({
+        entry = {
             "generator": gen.to_json(),
             "image": image.to_json(),
             "max_deviation": float(worst),
             "evaluated": len(deviations),
             "skipped": len(grid) - len(deviations),
-        })
+        }
+        report["generators"].append(entry)
         if worst > mpmath.mpf(tol) or len(deviations) / max(1, len(grid)) < 0.9:
             report["ok"] = False
     return report

@@ -508,7 +508,7 @@ def test_deviation_is_measured_at_working_precision():
         y = x + mpmath.mpf(2) ** -200
     for a, b in ((x, y), (y, x)):
         assert _raw_distance(a._mpf_, b._mpf_, P.working_bits) == mpmath.mpf(2) ** -200
-    # a pair whose second generator reported 0.0 while its siblings reported 2^-127
+    # measured at 53 bits, this pair's second generator read 0.0 and its siblings 2^-127
     d1, d2 = D(Surd(2, -1, 2, 2), 2, 1, (-2, 1)), D(Surd(31, 1, 137, 2), 2, 1, (2, -2))
     wit = decide(d1, d2).witness
     psi = witness_to_homeo(d1, d2, wit)
