@@ -14,8 +14,8 @@ error model:
 * interior stages of a nested evaluation guard themselves against genuine
   precision exhaustion at the much smaller threshold 2^(-working_bits/2),
   where the tan/arctan round trip really does run out of headroom;
-* powers and staircase steps are evaluated by repeated composition, at most
-  64 of them, or k - 1 for a power of a k-cycle map ``CanonicalF``.
+* a power e^m compiles in one pass by the group law where e has a closed
+  form; any other power repeats e, at most 64 times.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -302,16 +302,30 @@ _LINE_NODES = {Translate, Scale, HbarBase, HbarWrap, Staircase}
 _CIRCLE_NODES = {CanonicalF, CircleExtend}
 
 
+def _commuting(items) -> bool:
+    """Whether items, translates under HbarWrap layers, commute: every non-integer
+    one is wrapped deepest, and an integer translate commutes with wrapped maps."""
+    layers = []
+    for e in items:
+        depth = 0
+        while type(e) is HbarWrap:
+            e, depth = e.inner, depth + 1
+        if type(e) is not Translate:
+            return False
+        layers.append((depth, e.a.b == 0 and e.a.c == 1))
+    return all(integer or depth == max(layers)[0] for depth, integer in layers)
+
+
 def _compile(e: HomeoExpr, p: Precision, line: bool):
     """(run, marks): e compiled in one walk into a closure on raw points of the
     line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
     and the breakpoints j/k of the nodes met, as pairs (line, k): k = 1 for an
     HbarWrap or a Staircase, k for a CanonicalF or a CircleExtend, also where a
-    shortcut skips compiling the node and inside an over-cap power.  Inside,
-    build(e, inv, line) compiles e, or its inverse when inv.  Pi, the headroom
-    2^-(working_bits/2) and the Surd constants are bound once per compile.  A
-    node its domain does not accept, or a power over the cap, compiles to a
-    closure that raises when a point reaches it."""
+    shortcut skips compiling the node and inside a zero or over-cap power.
+    Inside, build(e, m, line) compiles e^m, and the powers a staircase or cycle
+    map needs are compiled on first use.  Pi, the headroom and the Surd
+    constants are bound once per compile.  A node its domain does not accept,
+    or a power over the cap, compiles to a closure that raises when reached."""
     prec, marks = p.working_bits, set()
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
@@ -360,45 +374,47 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         v = mpf_div(mpf_add(h(w), fone, prec, _RN), from_int(k), prec, _RN)
         return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
 
-    def f_steps(fnode: HomeoExpr, inverse: bool):
-        """(v, r) -> r conjugation steps of a cycle map.  A plain CanonicalF
-        moves points rigidly along the paths used here (arc 1 up to arc i,
-        arc i down to arc 1), so it reduces to an exact rotation."""
+    def f_steps(fnode: HomeoExpr, m: int):
+        """(v, r) -> r conjugation steps of a cycle map (m = 1) or its inverse.
+        A plain CanonicalF moves points rigidly along the paths used here (arc
+        1 up to arc i, arc i down to arc 1), so it reduces to an exact rotation."""
         if isinstance(fnode, CanonicalF):
             marks.add((False, fnode.k))
-            return lambda v, r: rotate(v, Fraction(-r if inverse else r, fnode.k)) if r else v
-        f = build(fnode, inverse, False)
+            return lambda v, r: rotate(v, Fraction(m * r, fnode.k)) if r else v
+        f = build(fnode, m, False)
         return lambda v, r: _chain([f] * r)(v)
 
-    def build(e: HomeoExpr, inv: bool, line: bool):
+    def build(e: HomeoExpr, m: int, line: bool):
         kind = type(e)
         if kind is Identity:
             return lambda x: x
         if kind is Inverse:
-            return build(e.inner, not inv, line)
-        if kind is Compose:
-            return _chain([build(c, inv, line) for c in (e.items if inv else reversed(e.items))])
+            return build(e.inner, -m, line)
         if kind is Power:
-            inner = build(e.inner, inv if e.e >= 0 else not inv, line)
-            # the normal form (j, h) raises a cycle map to any power j < k
-            cap = max(_POWER_CAP, e.inner.k - 1) if type(e.inner) is CanonicalF else _POWER_CAP
-            if abs(e.e) > cap:
-                return _fail(PowerCapExceeded, f"power {e.e} exceeds cap {cap}")
-            return _chain([inner] * abs(e.e))
+            return build(e.inner, m * e.e, line)
+        if kind is Compose and (m == 1 or _commuting(e.items)):  # the power distributes
+            return _chain([build(c, m, line) for c in reversed(e.items)])
+        if kind is Compose and m == -1:
+            return _chain([build(c, -1, line) for c in e.items])
+        if m == 0 or abs(m) > 1 and kind in (Compose, Scale, HbarBase, CircleExtend):
+            step = build(e, 1 if m > 0 else -1, line)  # repeated |m| times: no closed form, or e^0
+            if abs(m) > _POWER_CAP:
+                return _fail(PowerCapExceeded, f"power {m} exceeds cap {_POWER_CAP}")
+            return _chain([step] * abs(m))
         if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
             domain = "line" if line else "circle"
             return _fail(EvalError, f"{kind.__name__} is not a {domain} node")
         if kind is Translate:
-            a, op = _raw(e.a, prec), mpf_sub if inv else mpf_add
-            return lambda x: op(x, a, prec, _RN)
+            a = _raw(e.a if m == 1 else e.a * m, prec)  # m a exact, rounded once
+            return lambda x: mpf_add(x, a, prec, _RN)
         if kind is Scale:
-            u, op = _raw(e.u, prec), mpf_div if inv else mpf_mul
+            u, op = _raw(e.u, prec), mpf_div if m < 0 else mpf_mul
             return lambda x: op(x, u, prec, _RN)
         if kind is HbarBase:
-            return h_inv if inv else h
+            return h_inv if m < 0 else h
         marks.add((line, 1 if line else e.k))
         if kind is HbarWrap:
-            inner = build(e.inner, inv, True)
+            inner = build(e.inner, m, True)
 
             def wrapped(x):
                 i = mpf_floor(x, prec, _RN)
@@ -410,7 +426,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
 
             return wrapped
         if kind is Staircase:
-            up, down = build(e.inner, inv, True), build(e.inner, not inv, True)
+            step = lru_cache(maxsize=None)(lambda n: build(e.inner, n * m, True))  # n -> inner^(n m)
 
             def stairs(x):
                 ifl = mpf_floor(x, prec, _RN)
@@ -418,33 +434,31 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
                 if mpf_eq(frac, fzero):
                     return x
                 guard(frac)
-                n = int(to_int(ifl))
-                if abs(n) > _POWER_CAP:
-                    raise PowerCapExceeded(f"staircase exponent {n} exceeds cap {_POWER_CAP}")
-                return _chain([up if n >= 0 else down] * abs(n))(x)
+                return step(int(to_int(ifl)))(x)
 
             return stairs
         if kind is CanonicalF:
-            k, rigid, gtilde = e.k, isinstance(e.gtilde, Identity), build(e.gtilde, inv, True)
-            q = Fraction(-1 if inv else 1, k)
+            k, rigid = e.k, isinstance(e.gtilde, Identity)
+            gtilde = lru_cache(maxsize=None)(lambda c: build(e.gtilde, c, True))  # c -> gtilde^c
 
             def cycle(t):
                 jm = _marked_index(t, k)
                 if jm is not None:
-                    return Fraction((jm - 1 if inv else jm + 1) % k, k)
-                j = arc_floor(t, k)
-                if rigid or (j != 1 % k if inv else j >= 1):
-                    return rotate(t, q)
-                if inv:
-                    return rotate(chart_from_line(gtilde(chart_to_line(t, k)), k), q)
-                return chart_from_line(gtilde(chart_to_line(rotate(t, q), k)), k)
+                    return Fraction((jm + m) % k, k)
+                s = (arc_floor(t, k) - 1) % k  # arcs from arc 1 on, arc 0 last
+                c = (s + m) // k  # signed passes from arc 0 into arc 1
+                if rigid or c == 0:
+                    return rotate(t, Fraction(m, k))
+                before = Fraction(k - s if m > 0 else -s, k)  # up to a pass into arc 1, or out of it
+                v = chart_from_line(gtilde(c)(chart_to_line(rotate(t, before), k)), k)
+                return rotate(v, Fraction(m, k) - before)
 
             return cycle
         if isinstance(e.inner, Identity) and (e.fsrc is None or e.fsrc == e.fspec):
             return lambda t: t  # conjugated identity on every arc
         k, fsrc = e.k, (e.fspec if e.fsrc is None else e.fsrc)
-        down, up = (e.fspec, fsrc) if inv else (fsrc, e.fspec)
-        down, up, inner = f_steps(down, True), f_steps(up, False), build(e.inner, inv, True)
+        down, up = (e.fspec, fsrc) if m < 0 else (fsrc, e.fspec)
+        down, up, inner = f_steps(down, -1), f_steps(up, 1), build(e.inner, m, True)
 
         def extended(t):
             if _marked_index(t, k) is not None:
@@ -454,7 +468,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
 
         return extended
 
-    return build(e, False, line), marks
+    return build(e, 1, line), marks
 
 
 def _check_margin(x, marks, p: Precision, line: bool) -> None:

@@ -36,11 +36,10 @@ from circleconj.exactnum import (
 from circleconj.homeo import (
     CanonicalF,
     CirclePoint,
-    HbarWrap,
     Identity,
     Power,
     Precision,
-    Translate,
+    Scale,
     _raw_distance,
     eval_circle,
 )
@@ -487,12 +486,13 @@ def test_verification_compiles_each_map_once(monkeypatch, n, k, g1, g2):
 
 
 def test_a_point_where_psi_raises_is_skipped_for_every_generator():
-    # this psi raises on the arc (0, 1/2), where its power is over the cap, and
-    # rotates the arc (1/2, 1); the cycle generator swaps the two arcs, so its
-    # left side psi(g(t)) is defined exactly where psi(t) is not
+    # this psi raises on the arc (0, 1/2), where its closing map is a power of a
+    # dilation over the cap, and rotates the arc (1/2, 1); the cycle generator
+    # swaps the two arcs, so its left side psi(g(t)) is defined exactly where
+    # psi(t) is not
     d = D(ROOT2M1, 2, 2, (1, 0))
     wit = decide(d, d).witness
-    psi = CanonicalF(2, Power(HbarWrap(Translate(1)), 100))
+    psi = CanonicalF(2, Power(Scale(2), 100))
     report = verify_conjugation(psi, d, d, wit, grid_size=16, p=P)
     cycle = report["generators"][0]
     assert cycle["generator"]["j"] == 1

@@ -208,10 +208,19 @@ def test_power_zero_is_identity():
 
 
 def test_power_cap_enforced():
+    # only a map with no closed form for its powers repeats, up to the cap
     with pytest.raises(PowerCapExceeded):
-        eval_line(Power(HbarWrap(Translate(1)), 100), 0.5)
+        eval_line(Power(Scale(2), 100), 0.5)
     with pytest.raises(PowerCapExceeded):
-        eval_line(staircase(HbarWrap(Translate(1))), 70.3)
+        eval_line(staircase(Compose((HbarWrap(Translate(SQRT2)), HbarWrap(Scale(2))))), 70.3)
+
+
+def test_powers_of_wrapped_translates_are_one_translate():
+    # the group law: a power translates by the exact multiple, rounded once
+    got = eval_line(Power(HbarWrap(Translate(1)), 100), 0.5)
+    assert got._mpf_ == eval_line(HbarWrap(Translate(100)), 0.5)._mpf_
+    got = eval_line(staircase(HbarWrap(Translate(1))), 70.3)
+    assert got._mpf_ == eval_line(HbarWrap(Translate(70)), 70.3)._mpf_
 
 
 def test_trust_margin_covers_nodes_a_shortcut_skips():
