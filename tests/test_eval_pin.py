@@ -5,8 +5,8 @@ results, recorded as raw ``_mpf_`` tuples or exact Fractions, at 128, 192 and
 256 bits.  The trees cover every node kind, wrap depths 0 to 3, ``Inverse``,
 ``Power`` and ``Staircase``, and two realized conjugators.  The inputs are
 floats, high-precision mpfs and exact ints, Fractions and Surds; some sit
-inside the trust margin or the precision headroom, or hit the power cap, and
-those record the exception type and message.  ``rotation_number`` and the
+inside the trust margin or the precision headroom, and those record the
+exception type and message.  ``rotation_number`` and the
 rejections of ``staircase()`` are pinned too.  A rewrite of the evaluator
 must leave the digest unchanged; a deliberate change of output updates it
 with a note.
@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "cc16c04e48e27fa1108579ccabb30ec9f4e9aa0603f0c4243e2e022d6efca639"
+PINNED = "5f9fa02e1d7c0ed6073f5c8d7e7056a0f247e6701bf8d276c68dbf68ef5f0e1c"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)

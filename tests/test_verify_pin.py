@@ -4,12 +4,12 @@ One sha256 covers the canonical JSON (sorted keys, no spaces) of the reports
 for nine conjugate pairs at n in {2, 3} and k in {1, 2, 3, 6}, most with a
 base change A other than the identity, each verified with its own witness
 and with ``corrupt_witness`` of it, at 128 and 256 bits.  The reports carry
-every generator's ``max_deviation`` and its evaluated and skipped counts; the
-rank-3, k = 1 pair skips a grid point with either witness, and on the last
-pair psi itself raises at one grid point (a staircase over its power cap),
-which every generator skips.  A rewrite of the
-verification loop must leave the digest unchanged; a deliberate change of
-output updates it with a note.
+every generator's ``max_deviation`` and its evaluated and skipped counts.
+One more report checks a hand-built psi on the rank-2, k = 2 pair: a cycle
+map whose closing map is a power of a dilation over the repeat cap, so psi
+raises on the arc (0, 1/2) and every generator skips those grid points.  A
+rewrite of the verification loop must leave the digest unchanged; a
+deliberate change of output updates it with a note.
 """
 
 import hashlib
@@ -18,9 +18,9 @@ import json
 from circleconj.circlegroup import CircleGroupDescriptor
 from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, witness_to_homeo
 from circleconj.exactnum import Surd
-from circleconj.homeo import Precision
+from circleconj.homeo import CanonicalF, Power, Precision, Scale
 
-PINNED = "1d08d9680204e0292ec9144e62e6056a3d9132486b0bffab5235f6ccfeb6f3f2"
+PINNED = "acfb56fa34baf50651efef1dfb52eb8f44dc0e9b707ba4330056b34668bbf993"
 
 BITS = (128, 256)
 GRID = 16
@@ -52,13 +52,17 @@ def conjugate_pairs():
 
 def records():
     out = []
-    for seed, (d1, d2, wit) in enumerate(conjugate_pairs()):
+    pairs = conjugate_pairs()
+    for seed, (d1, d2, wit) in enumerate(pairs):
         good = witness_to_homeo(d1, d2, wit)
         bad = witness_to_homeo(d1, d2, corrupt_witness(d1, wit), check=False)
         for bits in BITS:
             p = Precision(working_bits=bits)
             for psi in (good, bad):
                 out.append(verify_conjugation(psi, d1, d2, wit, grid_size=GRID, p=p, seed=seed))
+    d1, d2, wit = pairs[1]
+    psi = CanonicalF(2, Power(Scale(2), 100))
+    out.append(verify_conjugation(psi, d1, d2, wit, grid_size=GRID, seed=len(pairs)))
     return out
 
 
