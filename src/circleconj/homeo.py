@@ -239,7 +239,7 @@ def circle_distance(a, b):
         d = (ta - tb) % 1
         return min(d, 1 - d)
     ta, tb = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(float(t)) for t in (ta, tb))
-    return _raw_distance(ta._mpf_, tb._mpf_, mpmath.mp.prec)
+    return _raw_distance(ta._mpf_, tb._mpf_, 0)
 
 
 # ----------------------------------------------------------------- compiler
@@ -490,7 +490,7 @@ def _evaluate(e: HomeoExpr, x, exact: bool, p: Precision, line: bool):
 
 
 def _raw_distance(a, b, prec: int):
-    """The shorter arc between two raw circle values, as an mpf at prec bits."""
+    """The shorter arc between two raw circle values, as an mpf at prec bits (0: exact)."""
     d = mpf_sub(a, b, prec, _RN)
     return mpmath.mp.make_mpf(_edge(mpf_sub(d, mpf_floor(d, prec, _RN), prec, _RN), prec))
 

@@ -506,6 +506,16 @@ def test_circle_distance_wraps():
     assert circle_distance(0.9, 0.1) < 0.2 + 1e-9
 
 
+def test_circle_distance_is_exact_at_any_global_precision():
+    # at mpmath's global 53 bits the negative difference folded to 0 one way
+    with mpmath.mp.workprec(256):
+        x = mpmath.mpf(1) / 3
+        y = x + mpmath.mpf(2) ** -200
+        points = CirclePoint(x), CirclePoint(y)
+    for a, b in ((x, y), (y, x), points, points[::-1]):
+        assert circle_distance(a, b) == mpmath.mpf(2) ** -200
+
+
 def test_expr_json_round_trip():
     k = 2
     exprs = [
