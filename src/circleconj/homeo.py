@@ -322,10 +322,11 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
     and the breakpoints j/k of the nodes met, as pairs (line, k): k = 1 for an
     HbarWrap or a Staircase, k for a CanonicalF or a CircleExtend, also where a
     shortcut skips compiling the node and inside a zero or over-cap power.
-    Inside, build(e, m, line) compiles e^m, and the powers a staircase or cycle
-    map needs are compiled on first use.  Pi, the headroom and the Surd
-    constants are bound once per compile.  A node its domain does not accept,
-    or a power over the cap, compiles to a closure that raises when reached."""
+    Inside, build(e, m, line) compiles e^m.  A staircase or cycle map compiles
+    the powers of its line map on first use; their integer breakpoints are the
+    staircase's own, or unread by a circle's margin test.  Pi, the headroom and
+    the Surd constants are bound once per compile.  A node its domain does not
+    accept, or a power over the cap, compiles to a closure that raises."""
     prec, marks = p.working_bits, set()
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
