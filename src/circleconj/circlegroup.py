@@ -115,7 +115,7 @@ def bar_extend(d: CircleGroupDescriptor, v) -> HomeoExpr:
     inner = element_to_expr(d.line(), v)
     if inner == Identity():
         return Identity()
-    return CircleExtend(inner, d.k, canonical_f(d))
+    return CircleExtend(inner, d.k)
 
 
 @dataclass(frozen=True)

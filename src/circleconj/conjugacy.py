@@ -26,8 +26,6 @@ import mpmath
 from .circlegroup import (
     CircleElement,
     CircleGroupDescriptor,
-    bar_extend,
-    canonical_f,
     element_expr,
 )
 from .exactnum import (
@@ -62,7 +60,7 @@ from .intmat import (
     mat_vec,
     solve_congruence,
 )
-from .lineargroup import normalizer_expr, scale_conjugator
+from .lineargroup import element_to_expr, normalizer_expr, scale_conjugator
 
 __all__ = [
     "ConjugacyWitness",
@@ -412,8 +410,9 @@ def witness_to_homeo(d1, d2, wit: ConjugacyWitness, check: bool = True) -> Homeo
     """The explicit conjugating circle homeomorphism for a verified witness.
 
     The inner line map composes the inverse base-change dilation with the
-    normalizer realization of [[f_alpha, S], [0, B]]; the circle extension
-    intertwines d1's cycle map twisted by h with d2's cycle map.
+    normalizer realization of [[f_alpha, S], [0, B]]; the circle extension,
+    twisted by the line element h, intertwines d1's cycle map followed by
+    the bar extension of h with d2's cycle map.
     """
     if check:
         ok, reason = check_witness(d1, d2, wit)
@@ -426,11 +425,10 @@ def witness_to_homeo(d1, d2, wit: ConjugacyWitness, check: bool = True) -> Homeo
         phi_line = phi_norm
     else:
         phi_line = Compose.of(Inverse(scale_conjugator(line1, wit.M.A)), phi_norm)
-    f2 = canonical_f(d2)
-    fsrc = Compose.of(canonical_f(d1), bar_extend(d1, wit.h))
-    if phi_line == Identity() and fsrc == f2:
+    twist = element_to_expr(line1, wit.h) if any(wit.h) else None
+    if phi_line == Identity() and twist is None:
         return Identity()
-    return CircleExtend(phi_line, d1.k, f2, None if fsrc == f2 else fsrc)
+    return CircleExtend(phi_line, d1.k, twist)
 
 
 def conjugation_images(d1, d2, wit: ConjugacyWitness) -> list:

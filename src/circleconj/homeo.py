@@ -174,25 +174,20 @@ class CanonicalF(HomeoExpr):
 @dataclass(frozen=True)
 class CircleExtend(HomeoExpr):
     """Arc-wise extension of a line map to the circle, fixing the marked
-    points j/k.  On the arc with index i the value is
-    fspec^(i-1) . chart(inner) . fsrc^(-(i-1)); with fsrc omitted this is the
-    standard extension with fspec on both sides."""
+    points j/k.  On the arc r rotations by 1/k past (1/k, 2/k) the value is
+    rot(r/k) . chart(inner . twist^(-r)) . rot(-r/k); with twist omitted
+    every arc carries the chart copy of inner."""
 
     inner: HomeoExpr
     k: int
-    fspec: CanonicalF
-    fsrc: HomeoExpr = None
+    twist: HomeoExpr = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        if not isinstance(self.fspec, CanonicalF):
-            raise TypeError("fspec must be a CanonicalF node")
-        if self.fspec.k != self.k:
-            raise ValueError("fspec cycle length must match k")
-        if self.fsrc is not None and not isinstance(self.fsrc, HomeoExpr):
-            raise TypeError("fsrc must be a HomeoExpr or None")
+        if self.twist is not None and not isinstance(self.twist, HomeoExpr):
+            raise TypeError("twist must be a line HomeoExpr or None")
 
 
 # ------------------------------------------------------------- circle points
@@ -375,16 +370,6 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         v = mpf_div(mpf_add(h(w), fone, prec, _RN), from_int(k), prec, _RN)
         return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
 
-    def f_steps(fnode: HomeoExpr, m: int):
-        """(v, r) -> r conjugation steps of a cycle map (m = 1) or its inverse.
-        A plain CanonicalF moves points rigidly along the paths used here (arc
-        1 up to arc i, arc i down to arc 1), so it reduces to an exact rotation."""
-        if isinstance(fnode, CanonicalF):
-            marks.add((False, fnode.k))
-            return lambda v, r: rotate(v, Fraction(m * r, fnode.k)) if r else v
-        f = build(fnode, m, False)
-        return lambda v, r: _chain([f] * r)(v)
-
     def build(e: HomeoExpr, m: int, line: bool):
         kind = type(e)
         if kind is Identity:
@@ -455,17 +440,22 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
                 return rotate(v, Fraction(m, k) - before)
 
             return cycle
-        if isinstance(e.inner, Identity) and (e.fsrc is None or e.fsrc == e.fspec):
-            return lambda t: t  # conjugated identity on every arc
-        k, fsrc = e.k, (e.fspec if e.fsrc is None else e.fsrc)
-        down, up = (e.fspec, fsrc) if m < 0 else (fsrc, e.fspec)
-        down, up, inner = f_steps(down, -1), f_steps(up, 1), build(e.inner, m, True)
+        k = e.k
+        if e.twist is None:
+            if isinstance(e.inner, Identity):
+                return lambda t: t  # the chart copy of the identity on every arc
+            inner = build(e.inner, m, True)
+            arc = lambda r: inner
+        else:  # r -> (inner . twist^(-r))^m, compiled on first use
+            arc = lru_cache(maxsize=None)(lambda r: build(Compose.of(e.inner, Power(e.twist, -r)), m, True))
 
         def extended(t):
             if _marked_index(t, k) is not None:
                 return t
-            r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j; r steps reach arc 1
-            return up(chart_from_line(inner(chart_to_line(down(t, r), k)), k), r)
+            r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j; r rotations past arc 1
+            v = chart_to_line(rotate(t, Fraction(-r, k)) if r else t, k)
+            v = chart_from_line(arc(r)(v), k)
+            return rotate(v, Fraction(r, k)) if r else v
 
         return extended
 

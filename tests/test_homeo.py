@@ -225,11 +225,8 @@ def test_powers_of_wrapped_translates_are_one_translate():
 
 def test_trust_margin_covers_nodes_a_shortcut_skips():
     near_third = 1 / 3 + 1e-6
-    f2, f3 = CanonicalF(2, Identity()), CanonicalF(3, Identity())
     with pytest.raises(PrecisionExhausted):
-        eval_circle(CircleExtend(Identity(), 3, f3), near_third)
-    with pytest.raises(PrecisionExhausted):
-        eval_circle(CircleExtend(HbarWrap(Translate(1)), 2, f2, fsrc=f3), near_third)
+        eval_circle(CircleExtend(Identity(), 3), near_third)
 
 
 def test_near_breakpoint_raises_for_inexact_inputs():
@@ -387,21 +384,21 @@ def test_line_node_rejected_in_circle_eval():
 
 def test_circle_extend_fixes_marked_points():
     k = 3
-    psi = CircleExtend(HbarWrap(Translate(SQRT2)), k, canonical_example(k))
+    psi = CircleExtend(HbarWrap(Translate(SQRT2)), k)
     for j in range(k):
         img = eval_circle(psi, marked_point(j, k))
         assert img.is_exact and img.t == Fraction(j, k)
 
 
 def test_circle_extend_identity_inner_is_identity():
-    psi = CircleExtend(Identity(), 4, canonical_example(4))
+    psi = CircleExtend(Identity(), 4)
     pt = CirclePoint(Fraction(3, 7))
     assert eval_circle(psi, pt).t == Fraction(3, 7)
 
 
 def test_circle_extend_preserves_arcs():
     k = 3
-    psi = CircleExtend(HbarWrap(Translate(SQRT2)), k, canonical_example(k))
+    psi = CircleExtend(HbarWrap(Translate(SQRT2)), k)
     with mpmath.mp.workprec(256):
         for t in (0.05, 0.41, 0.55, 0.77, 0.95):
             img = eval_circle(psi, CirclePoint(mpmath.mpf(t))).t
@@ -411,14 +408,14 @@ def test_circle_extend_preserves_arcs():
 def test_circle_extend_exhausts_on_chart_breakpoint():
     # 0.75 chart-maps to exactly -1, an integer breakpoint of the wrapped
     # inner map; an inexact input cannot certify that passage
-    psi = CircleExtend(HbarWrap(Translate(SQRT2)), 3, canonical_example(3))
+    psi = CircleExtend(HbarWrap(Translate(SQRT2)), 3)
     with pytest.raises(PrecisionExhausted):
         eval_circle(psi, CirclePoint(0.75))
 
 
 def test_circle_extend_round_trip():
     k = 2
-    psi = CircleExtend(HbarWrap(Translate(SQRT2)), k, canonical_example(k))
+    psi = CircleExtend(HbarWrap(Translate(SQRT2)), k)
     with mpmath.mp.workprec(256):
         for t in (0.11, 0.32, 0.61, 0.94):
             pt = CirclePoint(mpmath.mpf(t))
@@ -431,7 +428,7 @@ def test_circle_extend_commutes_with_its_cycle_map():
     # canonical cycle map (here: two translations)
     k = 3
     f = canonical_example(k)
-    psi = CircleExtend(Translate(Fraction(1, 2)), k, f)
+    psi = CircleExtend(Translate(Fraction(1, 2)), k)
     with mpmath.mp.workprec(256):
         for t in (0.04, 0.17, 0.45, 0.52, 0.88):
             pt = CirclePoint(mpmath.mpf(t))
@@ -442,12 +439,12 @@ def test_circle_extend_commutes_with_its_cycle_map():
 
 def test_circle_extend_retwists_between_cycle_maps():
     # when the inner map conjugates gtilde1 to gtilde2 (scaling by 2 sends
-    # translation by sqrt2 to translation by 2*sqrt2), the two-sided
-    # extension satisfies psi . f1 == f2 . psi
+    # translation by sqrt2 to translation by 2*sqrt2), the extension
+    # satisfies psi . f1 == f2 . psi
     k = 3
     f1 = canonical_example(k, SQRT2)
     f2 = canonical_example(k, Surd(0, 2, 1, 2))
-    psi = CircleExtend(Scale(2), k, f2, fsrc=f1)
+    psi = CircleExtend(Scale(2), k)
     with mpmath.mp.workprec(256):
         for t in (0.06, 0.29, 0.47, 0.71, 0.93):
             pt = CirclePoint(mpmath.mpf(t))
@@ -462,9 +459,9 @@ def test_circle_extend_retwists_between_cycle_maps():
 
 def test_circle_extend_validation():
     with pytest.raises(TypeError):
-        CircleExtend(Identity(), 2, Identity())
+        CircleExtend(Identity(), 2, Fraction(1, 2))
     with pytest.raises(ValueError):
-        CircleExtend(Identity(), 2, canonical_example(3))
+        CircleExtend(Identity(), 0)
 
 
 # ------------------------------------------------------------ rotation number
@@ -529,8 +526,8 @@ def test_expr_json_round_trip():
         Inverse(HbarWrap(Translate(1))),
         Power(HbarWrap(Translate(1)), -2),
         canonical_example(k),
-        CircleExtend(HbarWrap(Translate(1)), k, canonical_example(k)),
-        CircleExtend(HbarWrap(Translate(1)), k, canonical_example(k), fsrc=canonical_example(k, Surd(1, 1, 3, 2))),
+        CircleExtend(HbarWrap(Translate(1)), k),
+        CircleExtend(HbarWrap(Translate(1)), k, twist=HbarWrap(Translate(SQRT2))),
     ]
     for e in exprs:
         assert expr_from_json(expr_to_json(e)) == e
@@ -540,10 +537,6 @@ _ONE = '{"a": 1, "b": 0, "c": 1, "d": 1}'
 _SQRT2 = '{"a": 0, "b": 1, "c": 1, "d": 2}'
 _WRAP1 = '{"node": "HbarWrap", "inner": {"node": "Translate", "a": ' + _ONE + "}}"
 _F2 = '{"node": "CanonicalF", "k": 2, "gtilde": {"node": "Translate", "a": ' + _SQRT2 + "}}"
-_F2_OTHER = (
-    '{"node": "CanonicalF", "k": 2, "gtilde": {"node": "Translate", "a": '
-    '{"a": 1, "b": 1, "c": 3, "d": 2}}}'
-)
 PINNED_JSON = [
     (Identity(), '{"node": "Identity"}'),
     (Translate(SQRT2), '{"node": "Translate", "a": ' + _SQRT2 + "}"),
@@ -560,13 +553,13 @@ PINNED_JSON = [
     (Power(HbarWrap(Translate(1)), -2), '{"node": "Power", "inner": ' + _WRAP1 + ', "e": -2}'),
     (canonical_example(2), _F2),
     (
-        CircleExtend(HbarWrap(Translate(1)), 2, canonical_example(2)),
-        '{"node": "CircleExtend", "inner": ' + _WRAP1 + ', "k": 2, "fspec": ' + _F2 + "}",
+        CircleExtend(HbarWrap(Translate(1)), 2),
+        '{"node": "CircleExtend", "inner": ' + _WRAP1 + ', "k": 2}',
     ),
     (
-        CircleExtend(Identity(), 2, canonical_example(2), fsrc=canonical_example(2, Surd(1, 1, 3, 2))),
-        '{"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2, "fspec": ' + _F2
-        + ', "fsrc": ' + _F2_OTHER + "}",
+        CircleExtend(Identity(), 2, HbarWrap(Translate(SQRT2))),
+        '{"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2, "twist": '
+        '{"node": "HbarWrap", "inner": {"node": "Translate", "a": ' + _SQRT2 + "}}}",
     ),
 ]
 
@@ -583,7 +576,7 @@ def test_expr_json_missing_field_is_value_error():
     with pytest.raises(ValueError):
         expr_from_json({"node": "Power", "inner": {"node": "Identity"}})
     with pytest.raises(ValueError):
-        expr_from_json({"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2})
+        expr_from_json({"node": "CircleExtend", "inner": {"node": "Identity"}})
 
 
 @pytest.mark.parametrize(
@@ -607,6 +600,9 @@ def test_expr_json_rejects_unknown():
         expr_from_json({"node": "Spiral"})
     with pytest.raises(ValueError):
         expr_from_json({"node": "Translate", "a": {"a": 1, "b": 0, "c": 1, "d": 1}, "mystery": 3})
+    for old_field in ("fspec", "fsrc"):  # CircleExtend's fields before the twist
+        with pytest.raises(ValueError):
+            expr_from_json({"node": "CircleExtend", "inner": {"node": "Identity"}, "k": 2, old_field: json.loads(_F2)})
 
 
 def test_precision_validation():
