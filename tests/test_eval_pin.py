@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "5f9fa02e1d7c0ed6073f5c8d7e7056a0f247e6701bf8d276c68dbf68ef5f0e1c"
+PINNED = "eae2ac7aa8a4810b3934d12e559f8cccf937149d4c488fc4988ac3f979c5cab2"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)
@@ -116,21 +116,21 @@ def circle_trees():
     for k in (1, 2, 3):
         f = CanonicalF(k, Translate(SQRT2))
         wrapped = CanonicalF(k, hbar_iter(Translate(PHI), 2))
-        other = CanonicalF(k, Translate(Surd(0, 2, 1, 2)))
+        twist = HbarWrap(Translate(PHI))
         out += [
             f,
             Inverse(f),
             wrapped,
             Power(f, 2),
             Power(wrapped, -3),
-            CircleExtend(HbarWrap(Translate(SQRT2)), k, f),
-            CircleExtend(hbar_iter(Translate(PHI), 3), k, wrapped),
-            Inverse(CircleExtend(hbar_iter(Scale(3), 2), k, f)),
-            CircleExtend(Scale(2), k, other, fsrc=f),
-            CircleExtend(Identity(), k, f),
-            CircleExtend(Identity(), k, other, fsrc=f),
-            CircleExtend(HbarWrap(Translate(1)), k, f, fsrc=Power(wrapped, 1)),
-            Inverse(CircleExtend(HbarWrap(Translate(1)), k, other, fsrc=Compose((wrapped,)))),
+            CircleExtend(HbarWrap(Translate(SQRT2)), k),
+            CircleExtend(hbar_iter(Translate(PHI), 3), k),
+            Inverse(CircleExtend(hbar_iter(Scale(3), 2), k)),
+            CircleExtend(Scale(2), k, twist),
+            CircleExtend(Identity(), k),
+            CircleExtend(Identity(), k, Inverse(twist)),
+            CircleExtend(HbarWrap(Translate(1)), k, Compose((twist, Translate(1)))),
+            Inverse(CircleExtend(HbarWrap(Translate(1)), k, twist)),
         ]
     out += [CanonicalF(3, Identity()), Power(CanonicalF(2, Identity()), 70), Translate(1)]
     return out + realized_trees()

@@ -28,7 +28,7 @@ from circleconj.homeo import expr_to_json
 from circleconj.intmat import StructuredMatrix
 from circleconj.lineargroup import basis_exprs, normalizer_expr
 
-PINNED = "005e02001e4706163c4cde8a458dbaf402c157e30ac1c1c48be0cdab3485698b"
+PINNED = "0e4c11712bda11589a4bfd730220f8fab7b56954aa6a37cd53b1751097470540"
 
 BASES = (Surd(-1, 1, 1, 2), Surd(-1, 1, 2, 5), Surd(-9, 1, 1, 94))
 RANKS = (2, 3, 4)

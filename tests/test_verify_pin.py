@@ -20,7 +20,7 @@ from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, wi
 from circleconj.exactnum import Surd
 from circleconj.homeo import CanonicalF, Power, Precision, Scale
 
-PINNED = "acfb56fa34baf50651efef1dfb52eb8f44dc0e9b707ba4330056b34668bbf993"
+PINNED = "594a8a4b415cbad8263173b1cbca55f714c6ff0f23a9f99ac7e71d1270d390e8"
 
 BITS = (128, 256)
 GRID = 16
