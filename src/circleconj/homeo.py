@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    fhalf, fone, from_float, from_int, fzero, mpf_add, mpf_atan, mpf_div, mpf_eq, mpf_floor,
+    fhalf, fone, from_float, from_int, from_rational, fzero, mpf_add, mpf_atan, mpf_div, mpf_eq, mpf_floor,
     mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sub, mpf_tan,
     mpf_pos, round_nearest, to_int, to_str,
 )
@@ -196,7 +196,8 @@ class CircleExtend(HomeoExpr):
 @dataclass(frozen=True)
 class CirclePoint:
     """A point of the circle as a lift t in [0, 1); exact when t is a
-    Fraction, approximate when it is a binary float."""
+    Fraction, approximate when it is a binary float.  An mpf keeps its own
+    bits, and its fractional part is taken exactly."""
 
     t: object
 
@@ -207,8 +208,8 @@ class CirclePoint:
         if isinstance(t, Fraction):
             t = t % 1
         else:
-            t = mpmath.mpf(t)
-            t = t - mpmath.floor(t)
+            x = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t))._mpf_
+            t = mpmath.mp.make_mpf(mpf_sub(x, mpf_floor(x)))
         object.__setattr__(self, "t", t)
 
     @property
@@ -227,14 +228,24 @@ def marked_point(j: int, k: int) -> CirclePoint:
 
 
 def circle_distance(a, b):
-    """Shorter arc length between two circle points (exact on Fractions)."""
-    ta = a.t if isinstance(a, CirclePoint) else a
-    tb = b.t if isinstance(b, CirclePoint) else b
-    if isinstance(ta, Fraction) and isinstance(tb, Fraction):
-        d = (ta - tb) % 1
-        return min(d, 1 - d)
-    ta, tb = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(float(t)) for t in (ta, tb))
+    """Shorter arc length between two circle points: a Fraction between
+    Fractions, else an mpf, exact between binary points and rounded once to
+    the global precision from the exact distance between a Fraction and a
+    binary point."""
+    ta, tb = (x.t if isinstance(x, CirclePoint) else x for x in (a, b))
+    if isinstance(ta, Fraction) or isinstance(tb, Fraction):
+        d = (_fraction(ta) - _fraction(tb)) % 1
+        d = min(d, 1 - d)
+        if isinstance(ta, Fraction) and isinstance(tb, Fraction):
+            return d
+        return mpmath.mp.make_mpf(from_rational(d.numerator, d.denominator, mpmath.mp.prec, _RN))
+    ta, tb = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t) for t in (ta, tb))
     return _raw_distance(ta._mpf_, tb._mpf_, 0)
+
+
+def _fraction(t) -> Fraction:
+    """A Fraction, a float or an mpf exactly as a Fraction."""
+    return Fraction(t.man) * Fraction(2) ** t.exp if isinstance(t, mpmath.mpf) else Fraction(t)
 
 
 # ----------------------------------------------------------------- compiler
@@ -501,14 +512,13 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
     """Image of a circle point; exact Fractions stay exact along rigid paths.
 
     Marked points j/k (exact Fractions) evaluate exactly through CanonicalF
-    and CircleExtend nodes.  Inexact points within ``singular_margin`` of a
-    marked point raise PrecisionExhausted.
+    and CircleExtend nodes.  An inexact point is rounded to ``working_bits``;
+    within ``singular_margin`` of a marked point it raises PrecisionExhausted.
     """
     point = t if isinstance(t, CirclePoint) else CirclePoint(t)
-    raw = point.t if point.is_exact else point.t._mpf_
+    raw = point.t if point.is_exact else _raw(point.t._mpf_, p.working_bits)
     value = _evaluate(e, raw, point.is_exact, p, False)
-    with mpmath.mp.workprec(p.working_bits):
-        return CirclePoint(value if isinstance(value, Fraction) else mpmath.mp.make_mpf(value))
+    return CirclePoint(value if isinstance(value, Fraction) else mpmath.mp.make_mpf(value))
 
 
 # --------------------------------------------------------------- constructors

@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "eae2ac7aa8a4810b3934d12e559f8cccf937149d4c488fc4988ac3f979c5cab2"
+PINNED = "802221b14456ba3b8abe4fdd5c925e16ce7097aeb2f149917ee5bf232037a891"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)

@@ -513,6 +513,19 @@ def test_circle_distance_is_exact_at_any_global_precision():
         assert circle_distance(a, b) == mpmath.mpf(2) ** -200
 
 
+def test_a_binary_point_keeps_its_bits_outside_workprec():
+    # a 256-bit point passed at mpmath's global 53 bits was rounded to 53 bits
+    with mpmath.mp.workprec(256):
+        t = mpmath.mpf(1) / 5 + mpmath.mpf(2) ** -200
+        third = mpmath.mpf(1) / 3
+    assert CirclePoint(t).t == t
+    got = eval_circle(CanonicalF(3, Identity()), t).t
+    with mpmath.mp.workprec(512):
+        assert abs(got - (t + third)) < mpmath.mpf(2) ** -250
+    for a, b in ((Fraction(1, 5), t), (t, CirclePoint(Fraction(6, 5)))):
+        assert abs(circle_distance(a, b) * mpmath.mpf(2) ** 200 - 1) < 0.01
+
+
 def test_expr_json_round_trip():
     k = 2
     exprs = [
