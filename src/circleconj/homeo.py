@@ -325,15 +325,16 @@ def _commuting(items) -> bool:
 def _compile(e: HomeoExpr, p: Precision, line: bool):
     """(run, marks): e compiled in one walk into a closure on raw points of the
     line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
-    and the breakpoints j/k of the nodes met, as pairs (line, k): k = 1 for an
-    HbarWrap or a Staircase, k for a CanonicalF or a CircleExtend, also where a
-    shortcut skips compiling the node and inside a zero or over-cap power.
-    Inside, build(e, m, line) compiles e^m.  A staircase or cycle map compiles
-    the powers of its line map on first use; their integer breakpoints are the
-    staircase's own, or unread by a circle's margin test.  Pi, the headroom and
-    the Surd constants are bound once per compile.  A node its domain does not
-    accept, or a power over the cap, compiles to a closure that raises."""
-    prec, marks = p.working_bits, set()
+    and the set of k whose breakpoints j/k the compiled domain's nodes carry:
+    1 for an HbarWrap or a Staircase on the line, k for a CanonicalF or a
+    CircleExtend on the circle, also where a shortcut skips compiling the node
+    and inside a zero or over-cap power.  Inside, build(e, m, line) compiles
+    e^m.  A staircase, a cycle map or a twisted extension compiles the powers
+    of its line map on first use; an untwisted extension compiles its line map
+    once.  Pi, the headroom and the Surd constants are bound once per compile.
+    A node its domain does not accept, or a power over the cap, compiles to a
+    closure that raises."""
+    prec, marks, domain = p.working_bits, set(), line
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
     def guard(frac) -> None:
@@ -399,8 +400,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
                 return _fail(PowerCapExceeded, f"power {m} exceeds cap {_POWER_CAP}")
             return _chain([step] * abs(m))
         if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
-            domain = "line" if line else "circle"
-            return _fail(EvalError, f"{kind.__name__} is not a {domain} node")
+            return _fail(EvalError, f"{kind.__name__} is not a {'line' if line else 'circle'} node")
         if kind is Translate:
             a = _raw(e.a if m == 1 else e.a * m, prec)  # m a exact, rounded once
             return lambda x: mpf_add(x, a, prec, _RN)
@@ -409,7 +409,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             return lambda x: op(x, u, prec, _RN)
         if kind is HbarBase:
             return h_inv if m < 0 else h
-        marks.add((line, 1 if line else e.k))
+        if line == domain:
+            marks.add(1 if line else e.k)
         if kind is HbarWrap:
             inner = build(e.inner, m, True)
 
@@ -475,10 +476,10 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
 
 def _check_margin(x, marks, p: Precision, line: bool) -> None:
     """Raise PrecisionExhausted when the inexact raw point x lies closer than
-    ``singular_margin`` to a breakpoint j/k of its domain in marks."""
+    ``singular_margin`` to a breakpoint j/k for a k in marks."""
     prec = p.working_bits
-    for domain, k in marks:
-        if domain == line and _inside_margin(mpf_mul_int(x, k, prec, _RN), k * p.singular_margin, prec):
+    for k in marks:
+        if _inside_margin(mpf_mul_int(x, k, prec, _RN), k * p.singular_margin, prec):
             where = "an integer breakpoint" if line else "a marked point"
             raise PrecisionExhausted(f"input closer than the trust margin to {where}")
 
