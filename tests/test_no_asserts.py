@@ -1,5 +1,9 @@
-"""The package keeps no ``assert``: ``python -O`` strips them, and every
-self-check of a certificate must still run there, so checks raise instead."""
+"""Static checks of the package source, with the standard library's ``ast``.
+
+The package keeps no ``assert``: ``python -O`` strips them, and every
+self-check of a certificate must still run there, so checks raise instead.
+No module but ``__init__.py`` imports a name it never uses, so a rewrite
+leaves no dangling import behind."""
 
 import ast
 from pathlib import Path
@@ -7,10 +11,30 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "circleconj"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = parse(path)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))  # a re-exported name counts as used
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"
