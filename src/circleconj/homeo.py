@@ -15,7 +15,8 @@ error model:
   precision exhaustion at the much smaller threshold 2^(-working_bits/2),
   where the tan/arctan round trip really does run out of headroom;
 * a power e^m compiles in one pass by the group law where e has a closed
-  form; any other power repeats e, at most 64 times.
+  form, and so does each arc's line map inner . twist^(-r) of a twisted
+  CircleExtend; any other power repeats e, at most 64 times.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -325,15 +326,14 @@ def _commuting(items) -> bool:
 def _compile(e: HomeoExpr, p: Precision, line: bool):
     """(run, marks): e compiled in one walk into a closure on raw points of the
     line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
-    and the set of k whose breakpoints j/k the compiled domain's nodes carry:
-    1 for an HbarWrap or a Staircase on the line, k for a CanonicalF or a
-    CircleExtend on the circle, also where a shortcut skips compiling the node
-    and inside a zero or over-cap power.  Inside, build(e, m, line) compiles
-    e^m.  A staircase, a cycle map or a twisted extension compiles the powers
-    of its line map on first use; an untwisted extension compiles its line map
-    once.  Pi, the headroom and the Surd constants are bound once per compile.
-    A node its domain does not accept, or a power over the cap, compiles to a
-    closure that raises."""
+    and the k of the breakpoints j/k of the compiled domain's nodes: 1 for an
+    HbarWrap or a Staircase on the line, k for a CanonicalF or a CircleExtend
+    on the circle, also where a shortcut skips compiling the node and inside a
+    zero or over-cap power.  Inside, build(e, m, line) compiles e^m.  A
+    staircase, a cycle map or a twisted extension compiles the powers of its
+    line map on first use, an untwisted extension its line map once.  Pi, the
+    headroom and the Surd constants are bound once per compile.  A node its
+    domain does not accept, or a power over the cap, raises when run."""
     prec, marks, domain = p.working_bits, set(), line
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
