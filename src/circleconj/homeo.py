@@ -31,9 +31,9 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
-    fhalf, fone, from_float, from_int, from_rational, fzero, mpf_add, mpf_atan, mpf_div, mpf_eq, mpf_floor,
-    mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sub, mpf_tan,
-    mpf_pos, round_nearest, to_int, to_str,
+    fhalf, fone, from_float, from_int, from_rational, fzero, mpf_add, mpf_atan, mpf_div,
+    mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift,
+    mpf_sub, mpf_tan, mpf_pos, round_nearest, to_int, to_str,
 )
 
 from .exactnum import Surd, json_int, json_object
@@ -229,10 +229,9 @@ def marked_point(j: int, k: int) -> CirclePoint:
 
 
 def circle_distance(a, b):
-    """Shorter arc length between two circle points: a Fraction between
-    Fractions, else an mpf, exact between binary points and rounded once to
-    the global precision from the exact distance between a Fraction and a
-    binary point."""
+    """Shorter arc length between two circle points, from their exact
+    difference: a Fraction between Fractions; else an mpf, exact between
+    binary points, rounded once to the global precision otherwise."""
     ta, tb = (x.t if isinstance(x, CirclePoint) else x for x in (a, b))
     if isinstance(ta, Fraction) or isinstance(tb, Fraction):
         d = (_fraction(ta) - _fraction(tb)) % 1

@@ -45,10 +45,8 @@ def assert_close(a, b, working_bits):
     assert circle_distance(a, b) <= mpmath.mpf(2) ** (16 - working_bits), (a, b)
 
 
-def cycle_form(d1, d2, wit, r):
+def cycle_form(d1, d2, wit, phi, r):
     """f2^r . CircleExtend(phi, k) . (f1 . bar(h))^(-r): psi on arc r as cycle-map steps."""
-    psi = witness_to_homeo(d1, d2, wit, check=False)
-    phi = psi.inner if isinstance(psi, CircleExtend) else Identity()
     f1_twisted = Compose.of(canonical_f(d1), bar_extend(d1, wit.h))
     return Compose.of(Power(canonical_f(d2), r), CircleExtend(phi, d1.k), Power(f1_twisted, -r))
 
@@ -59,8 +57,9 @@ def test_realized_conjugators_match_their_cycle_map_form(working_bits):
     for d1, d2, wit in conjugate_pairs():
         for w in (wit, corrupt_witness(d1, wit)):
             psi, k = witness_to_homeo(d1, d2, w, check=False), d1.k
+            phi = psi.inner if isinstance(psi, CircleExtend) else Identity()
             for r in range(k):
-                ref = cycle_form(d1, d2, w, r)
+                ref = cycle_form(d1, d2, w, phi, r)
                 for frac in FRACS:
                     t = ((r + 1) % k + frac) / k
                     assert_close(eval_circle(psi, t, p), eval_circle(ref, t, p), working_bits)
