@@ -25,6 +25,7 @@ invariance tests rely on.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -322,18 +323,16 @@ def _commuting(items) -> bool:
     return all(integer or depth == max(layers)[0] for depth, integer in layers)
 
 
-def _compile(e: HomeoExpr, p: Precision, line: bool):
-    """(run, marks): e compiled in one walk into a closure on raw points of the
-    line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
-    and the k of the breakpoints j/k of the compiled domain's nodes: 1 for an
-    HbarWrap or a Staircase on the line, k for a CanonicalF or a CircleExtend
-    on the circle, also where a shortcut skips compiling the node and inside a
-    zero or over-cap power.  Inside, build(e, m, line) compiles e^m.  A
-    staircase, a cycle map or a twisted extension compiles the powers of its
-    line map on first use, an untwisted extension its line map once.  Pi, the
-    headroom and the Surd constants are bound once per compile.  A node its
-    domain does not accept, or a power over the cap, raises when run."""
-    prec, marks, domain = p.working_bits, set(), line
+_Chart = namedtuple(
+    "_Chart", "split h h_inv rotate arc_floor chart_to_line chart_from_line into_chart out_of_chart"
+)
+
+
+@lru_cache(maxsize=16)
+def _chart(prec: int) -> _Chart:
+    """The guarded arithmetic of the base map and the arc charts at prec bits,
+    shared by the compiler and the orbit lift (circlegroup).  A fractional
+    part closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
     def guard(frac) -> None:
@@ -342,6 +341,15 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             raise PrecisionExhausted(
                 f"breakpoint passage beyond precision headroom (distance {to_str(eps, 5)})"
             )
+
+    def split(x):
+        """(floor, fractional part) of x, the part guarded; None for an integer x."""
+        i = mpf_floor(x, prec, _RN)
+        frac = mpf_sub(x, i, prec, _RN)
+        if mpf_eq(frac, fzero):
+            return None
+        guard(frac)
+        return i, frac
 
     def h(x):
         return mpf_add(fhalf, mpf_div(mpf_atan(x, prec, _RN), pi, prec, _RN), prec, _RN)
@@ -381,6 +389,38 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         v = mpf_div(mpf_add(h(w), fone, prec, _RN), from_int(k), prec, _RN)
         return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
 
+    def into_chart(t, k: int):
+        """(r, x): t, not marked, lies r rotations by 1/k past the arc
+        (1/k, 2/k), at the line coordinate x of that arc's chart."""
+        r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j
+        return r, chart_to_line(rotate(t, Fraction(-r, k)) if r else t, k)
+
+    def out_of_chart(x, r: int, k: int):
+        """The circle point at line coordinate x of the arc r rotations past (1/k, 2/k)."""
+        v = chart_from_line(x, k)
+        return rotate(v, Fraction(r, k)) if r else v
+
+    return _Chart(
+        split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line, into_chart, out_of_chart
+    )
+
+
+def _compile(e: HomeoExpr, p: Precision, line: bool):
+    """(run, marks): e compiled in one walk into a closure on raw points of the
+    line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
+    and the k of the breakpoints j/k of the compiled domain's nodes: 1 for an
+    HbarWrap or a Staircase on the line, k for a CanonicalF or a CircleExtend
+    on the circle, also where a shortcut skips compiling the node and inside a
+    zero or over-cap power.  Inside, build(e, m, line) compiles e^m.  A
+    staircase, a cycle map or a twisted extension compiles the powers of its
+    line map on first use, an untwisted extension its line map once.  The
+    chart arithmetic comes from _chart, and the Surd constants are bound once
+    per compile.  A node its domain does not accept, or a power over the cap,
+    raises when run."""
+    prec, marks, domain = p.working_bits, set(), line
+    (split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
+     into_chart, out_of_chart) = _chart(prec)
+
     def build(e: HomeoExpr, m: int, line: bool):
         kind = type(e)
         if kind is Identity:
@@ -414,11 +454,10 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             inner = build(e.inner, m, True)
 
             def wrapped(x):
-                i = mpf_floor(x, prec, _RN)
-                frac = mpf_sub(x, i, prec, _RN)
-                if mpf_eq(frac, fzero):
+                parts = split(x)
+                if parts is None:
                     return x
-                guard(frac)
+                i, frac = parts
                 return mpf_add(h(inner(h_inv(frac))), i, prec, _RN)
 
             return wrapped
@@ -426,12 +465,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             step = lru_cache(maxsize=None)(lambda n: build(e.inner, n * m, True))  # n -> inner^(n m)
 
             def stairs(x):
-                ifl = mpf_floor(x, prec, _RN)
-                frac = mpf_sub(x, ifl, prec, _RN)
-                if mpf_eq(frac, fzero):
-                    return x
-                guard(frac)
-                return step(int(to_int(ifl)))(x)
+                parts = split(x)
+                return x if parts is None else step(int(to_int(parts[0])))(x)
 
             return stairs
         if kind is CanonicalF:
@@ -463,10 +498,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         def extended(t):
             if _marked_index(t, k) is not None:
                 return t
-            r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j; r rotations past arc 1
-            v = chart_to_line(rotate(t, Fraction(-r, k)) if r else t, k)
-            v = chart_from_line(arc(r)(v), k)
-            return rotate(v, Fraction(r, k)) if r else v
+            r, x = into_chart(t, k)
+            return out_of_chart(arc(r)(x), r, k)
 
         return extended
 
@@ -517,7 +550,11 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
     """
     point = t if isinstance(t, CirclePoint) else CirclePoint(t)
     raw = point.t if point.is_exact else _raw(point.t._mpf_, p.working_bits)
-    value = _evaluate(e, raw, point.is_exact, p, False)
+    return _circle_point(_evaluate(e, raw, point.is_exact, p, False))
+
+
+def _circle_point(value) -> CirclePoint:
+    """A raw circle value, a Fraction or an mpf tuple, as a CirclePoint."""
     return CirclePoint(value if isinstance(value, Fraction) else mpmath.mp.make_mpf(value))
 
 
