@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import from_int, mpf_add, mpf_mul_int, round_nearest, to_int
 
 from .homeo import (
     CanonicalF,
@@ -33,7 +34,13 @@ from .homeo import (
     Identity,
     Power,
     Precision,
-    eval_circle,
+    _chart,
+    _check_margin,
+    _circle_point,
+    _compile,
+    _fail,
+    _marked_index,
+    _raw,
     marked_point,
 )
 from .exactnum import Surd, json_int, json_ints, json_object
@@ -192,6 +199,8 @@ def finite_orbit(d: CircleGroupDescriptor) -> list:
 
 # -- orbit sampling -----------------------------------------------------------------
 
+_RN = round_nearest
+
 #: scales for the alpha-coefficient of drawn elements; larger rungs refine the
 #: fractional spacing of the reachable translation lengths
 SCALE_LADDER = (1, 16, 256, 4096)
@@ -227,6 +236,79 @@ def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u
     return (c0, c1) + middle + (int(round(target)),)
 
 
+def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
+    """image(j, h): the image of point under the element (j, h), evaluated by
+    the group law on one lift of point.
+
+    The lift is made once, under the compiler's guards (homeo._chart): the arc
+    r of point and its line coordinate x in that arc's chart, then at each of
+    the n - 2 wrap levels the floor of x and x = h^-1 of its fractional part,
+    down to the deepest level or to an integer x, which every deeper
+    coordinate fixes.  An element adds c0 + c1 alpha, or its integer
+    coordinate, at the deepest level its coordinates reach; going up, each
+    level takes h of the level below plus its floor and its integer
+    coordinate; the value leaves the chart, and f^j, compiled once per j,
+    follows.  A marked point stays put under every h.  A guard hit at a level
+    raises only for the elements whose coordinates reach below it, and an
+    inexact point inside the trust margin raises for every element but the
+    identity, as eval_circle(element_expr(d, (j, h)), point, p) does.  Unlike
+    that tree, the lift does not round-trip the partial images between the
+    wrapped factors through h and h^-1.
+    """
+    prec, k, n = p.working_bits, d.k, d.n
+    chart = _chart(prec)
+    split, h, h_inv = chart.split, chart.h, chart.h_inv
+    t = point.t if point.is_exact else _raw(point.t._mpf_, prec)
+    alpha = _raw(d.alpha, prec)
+    cycle = lru_cache(maxsize=None)(  # j -> f^j
+        lambda j: _compile(element_expr(d, CircleElement(j, (0,) * n)), p, False)[0]
+    )
+    margin = blocked = None  # raisers: for every element but the identity; below xs[-1]
+    r, xs, floors = 0, [], []  # xs[level], and the floors of xs[:-1]
+    try:
+        if not point.is_exact:
+            _check_margin(t, (k,), p, False)
+    except EvalError as exc:
+        margin = _fail(type(exc), str(exc))
+    try:
+        if _marked_index(t, k) is None:
+            r, x = chart.into_chart(t, k)
+            xs.append(x)
+            while len(xs) < n - 1 and (parts := split(x)) is not None:
+                floors.append(int(to_int(parts[0])))
+                x = h_inv(parts[1])
+                xs.append(x)
+    except EvalError as exc:
+        blocked = _fail(type(exc), str(exc))
+
+    def image(j: int, coords) -> CirclePoint:
+        if j == 0 and not any(coords):
+            return point
+        if margin:
+            margin(t)
+        w = t
+        if any(coords):
+            c0, c1 = coords[0], coords[1]
+            # level of coordinate i >= 2 is n - 1 - i; c0 + c1 alpha acts at level n - 2
+            depth = n - 2 if c0 or c1 else next(n - 1 - i for i in range(2, n) if coords[i])
+            if depth >= len(xs):
+                if blocked:
+                    blocked(t)
+                depth = len(xs) - 1  # an integer there, or -1 for a marked point
+            if depth >= 0:
+                if depth == n - 2:
+                    a = mpf_add(mpf_mul_int(alpha, c1, prec, _RN), from_int(c0), prec, _RN)
+                else:
+                    a = from_int(coords[n - 1 - depth])
+                x = mpf_add(xs[depth], a, prec, _RN)
+                for level in range(depth - 1, -1, -1):
+                    x = mpf_add(h(x), from_int(floors[level] + coords[n - 1 - level]), prec, _RN)
+                w = chart.out_of_chart(x, r, k)
+        return _circle_point(cycle(j)(w))
+
+    return image
+
+
 @dataclass(frozen=True)
 class OrbitSample:
     points: tuple
@@ -245,8 +327,11 @@ def orbit_sample(
 
     Returns the sorted image points (t0 included), the largest circular gap
     between consecutive images, and the number of draws skipped because the
-    evaluation hit a guard.  A declared non-quadratic base point is refused
-    with TypeError: its elements have no exact translation lengths.
+    evaluation hit a guard.  The draws are evaluated on one lift of t0, its
+    chart coordinates at every wrap level, made once per sample (_lift), and
+    each cycle power f^j is compiled once per sample.  A declared
+    non-quadratic base point is refused with TypeError: its elements have no
+    exact translation lengths.
     """
     if not isinstance(d.alpha, Surd):
         raise TypeError("a declared non-quadratic base point has no exact translation lengths")
@@ -259,6 +344,7 @@ def orbit_sample(
     arc0 = min(int(t0f), d.k - 1)
     # line coordinate of t0 inside its arc; aimed windows are centred on it
     base = math.tan(math.pi * (min(max(t0f - arc0, 1e-9), 1 - 1e-9) - 0.5))
+    image = _lift(d, t0, p)
     values = [t0.approx(p.working_bits)]
     skipped = 0
     strata = max(1, -(-count // d.k))  # complete stratified sweep per arc
@@ -269,15 +355,13 @@ def orbit_sample(
         crossed = (arc0 == 0 and j >= 1) or (arc0 >= 1 and arc0 + j >= d.k + 1)
         u = (i // d.k + rng.random()) / strata
         h = _draw_coords(d, rng, alpha_f, u, base + (drift if crossed else 0.0))
-        expr = element_expr(d, CircleElement(j, h))
         try:
-            image = eval_circle(expr, t0, p)
+            values.append(image(j, h).approx(p.working_bits))
         except EvalError:
             skipped += 1
-            continue
-        values.append(image.approx(p.working_bits))
+    low = min(v.exp for v in values)
+    values.sort(key=lambda v: v.man << (v.exp - low))  # the exact order of points in [0, 1)
     with mpmath.mp.workprec(p.working_bits):
-        values.sort()
         gaps = [b - a for a, b in zip(values, values[1:])]
         gaps.append(values[0] + 1 - values[-1])
         max_gap = max(gaps)
