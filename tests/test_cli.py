@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from circleconj import conjugacy
 from circleconj.cli import main
@@ -389,3 +392,57 @@ def test_unexpected_fault_exit4(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert err == "internal error: RuntimeError: stabilizer cycle did not close\n"
+
+
+# -- orbit exit codes over generated flags --------------------------------------------
+
+BITS = (64, 128, 256)
+NONQUADRATIC = {"alpha": {"nonquadratic_cf": [0, 1, 2, 3, 4, 5]}, "n": 2, "k": 2, "g": [1, 0]}
+
+
+@pytest.fixture(scope="module")
+def orbit_files(tmp_path_factory):
+    """(descriptor path, its k) for k = 2, 3 and a non-quadratic base point, and a CSV path."""
+    tmp = tmp_path_factory.mktemp("orbit-exit-codes")
+    nq = tmp / "nq.json"
+    nq.write_text(json.dumps(NONQUADRATIC))
+    paths = ((str(SAMPLES / "root2_k2_a.json"), 2), (str(SAMPLES / "golden_k3.json"), 3), (str(nq), 2))
+    return paths, tmp / "x.csv"
+
+
+def t0_texts(k: int):
+    """Decimals, p/q, marked points, points outside [0, 1), nan, 1/0 and garbage."""
+    decimals = st.decimals(min_value=-3, max_value=3, places=6).map(str)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=1000).map(str)
+    marked = st.integers(-2 * k, 2 * k).map(lambda j: f"{j}/{k}")
+    return st.one_of(
+        decimals, fractions, marked,
+        st.sampled_from(("nan", "inf", "-inf", "1/0", "0", "1", "1e-400", "1.5", "-0.25", "7/3", "")),
+        st.text(max_size=8),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_orbit_exit_codes_over_generated_flags(orbit_files, data):
+    descriptors, csv = orbit_files
+    path, k = data.draw(st.sampled_from(descriptors))
+    # --flag=value, so that argparse takes a value like -1e+16 as the value
+    argv = [
+        "orbit", path, f"--t0={data.draw(t0_texts(k))}", f"--out={csv}",
+        f"--count={data.draw(st.integers(-3, 20))}",
+        f"--precision-bits={data.draw(st.one_of(st.sampled_from(BITS), st.integers(-8, 320)))}",
+        f"--delta={data.draw(st.one_of(st.floats(1e-9, 0.05), st.floats()))!r}",
+        f"--seed={data.draw(st.integers(0, 9))}",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["csv"] == str(csv)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
