@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_int, mpf_add, mpf_mul_int, round_nearest, to_int
+from mpmath.libmp import from_int, mpf_add, mpf_mul, round_nearest, to_int
 
 from .homeo import (
     CanonicalF,
@@ -241,25 +241,26 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
     the group law on one lift of point.
 
     The lift is made once, under the compiler's guards (homeo._chart): the arc
-    r of point and its line coordinate x in that arc's chart, then at each of
-    the n - 2 wrap levels the floor of x and x = h^-1 of its fractional part,
-    down to the deepest level or to an integer x, which every deeper
-    coordinate fixes.  An element adds c0 + c1 alpha, or its integer
-    coordinate, at the deepest level its coordinates reach; going up, each
-    level takes h of the level below plus its floor and its integer
-    coordinate; the value leaves the chart, and f^j, compiled once per j,
-    follows.  A marked point stays put under every h.  A guard hit at a level
-    raises only for the elements whose coordinates reach below it, and an
-    inexact point inside the trust margin raises for every element but the
-    identity, as eval_circle(element_expr(d, (j, h)), point, p) does.  Unlike
-    that tree, the lift does not round-trip the partial images between the
-    wrapped factors through h and h^-1.
+    r of point, its line coordinate x in that arc's chart, and at each of the
+    n - 2 wrap levels the floor of x and the next x = h^-1(x - floor), down to
+    the deepest level or to an integer x, which every deeper coordinate
+    fixes.  An element adds c0 + c1 alpha, or its integer coordinate, at the
+    deepest level its coordinates reach; each level above takes h of the
+    level below plus its floor and its integer coordinate; the value leaves
+    the chart, and f^j, compiled once per j, follows.
+
+    The images are those of eval_circle(element_expr(d, (j, h)), point, p) up
+    to rounding: a marked point goes exactly to a marked point, an inexact
+    point inside the trust margin raises for every element but the identity,
+    and a guard hit at a level raises only for the elements whose
+    coordinates reach below it.  The tree also round-trips its partial images
+    through h and h^-1 between wrapped factors; the lift does not.
     """
     prec, k, n = p.working_bits, d.k, d.n
     chart = _chart(prec)
     split, h, h_inv = chart.split, chart.h, chart.h_inv
     t = point.t if point.is_exact else _raw(point.t._mpf_, prec)
-    alpha = _raw(d.alpha, prec)
+    alpha = _raw(d.alpha, prec + 64)  # c1 alpha exact from it, rounded once with c0
     cycle = lru_cache(maxsize=None)(  # j -> f^j
         lambda j: _compile(element_expr(d, CircleElement(j, (0,) * n)), p, False)[0]
     )
@@ -283,7 +284,7 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
 
     def image(j: int, coords) -> CirclePoint:
         if j == 0 and not any(coords):
-            return point
+            return _circle_point(t)
         if margin:
             margin(t)
         w = t
@@ -297,7 +298,7 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
                 depth = len(xs) - 1  # an integer there, or -1 for a marked point
             if depth >= 0:
                 if depth == n - 2:
-                    a = mpf_add(mpf_mul_int(alpha, c1, prec, _RN), from_int(c0), prec, _RN)
+                    a = mpf_add(mpf_mul(alpha, from_int(c1)), from_int(c0), prec, _RN)
                 else:
                     a = from_int(coords[n - 1 - depth])
                 x = mpf_add(xs[depth], a, prec, _RN)

@@ -1,15 +1,21 @@
 """The orbit lift against the element trees it replaces.
 
 ``circlegroup._lift`` evaluates a group element (j, h) at a fixed point by the
-group law on one lift of the point.  Every image must equal
-``eval_circle(element_expr(d, (j, h)), t0)`` within 2^-(bits - 8), exactly
-when that is exact, and an element the tree refuses with an EvalError must
-raise the same error type.  Edge cases: a point at an arc midpoint, whose
-line coordinate is 0; a marked point, which every element carries exactly to
-a marked point; exact and binary points inside the headroom or the trust
-margin, where every element but the identity is refused; and a point whose
-level-1 coordinate lies beyond the headroom, where only the elements reaching
-below that level are refused.
+group law on one lift of the point.  An element the tree
+``eval_circle(element_expr(d, (j, h)), t0)`` refuses with an EvalError must
+raise the same error type; every other image must equal the tree's within
+2^-(bits - 8), exactly when that is exact.  The values are compared with the
+tree evaluated at 64 more bits, or at the working precision where that raises
+at a breakpoint: at the working precision the tree rounds its
+translation c0 + c1 alpha from a Surd value whose terms cancel when c0 is
+near -c1 alpha, as in the orbit draws, and is then off by up to about
+|c1| 2^-bits, while the lift rounds c0 + c1 alpha once.
+
+Edge cases: a point at an arc midpoint, whose line coordinate is 0; a marked
+point, which every element carries exactly to a marked point; exact and
+binary points inside the headroom or the trust margin, where every element
+but the identity is refused; and a point whose level-1 coordinate lies beyond
+the headroom, where only the elements reaching below that level are refused.
 """
 
 from fractions import Fraction
@@ -51,9 +57,11 @@ def outcome(f):
 
 def assert_lift_matches_tree(d, t0, p, elements):
     image = _lift(d, t0, p)
+    finer = Precision(working_bits=p.working_bits + 64, singular_margin=p.singular_margin)
     for j, h in elements:
+        e = element_expr(d, CircleElement(j, h))
         lifted = outcome(lambda: image(j, h))
-        tree = outcome(lambda: eval_circle(element_expr(d, CircleElement(j, h)), t0, p))
+        tree = outcome(lambda: eval_circle(e, t0, p))
         if isinstance(tree, type):
             assert lifted is tree, (d, t0, j, h)
             continue
@@ -62,7 +70,10 @@ def assert_lift_matches_tree(d, t0, p, elements):
         if tree.is_exact:
             assert lifted.t == tree.t
         else:
-            assert circle_distance(lifted, tree) <= mpmath.mpf(2) ** (8 - p.working_bits), (j, h)
+            reference = outcome(lambda: eval_circle(e, t0, finer))
+            if isinstance(reference, type):  # within the finer headroom: the working tree is all there is
+                reference = tree
+            assert circle_distance(lifted, reference) <= mpmath.mpf(2) ** (8 - p.working_bits), (j, h)
 
 
 def binary(t: Fraction, bits: int):
@@ -77,10 +88,12 @@ def descriptors(draw):
     return CircleGroupDescriptor(draw(st.sampled_from(BASES)), n, k, draw(st.sampled_from(gs)))
 
 
-def coords(n: int):
-    small = st.one_of(st.just(0), st.integers(-4, 4))
-    top = st.tuples(st.integers(-60, 60), st.one_of(st.just(0), st.integers(-4096, 4096)))
-    return st.tuples(top, st.tuples(*[small] * (n - 2))).map(lambda parts: parts[0] + parts[1])
+@st.composite
+def coords(draw, d):
+    """h with c1 up to 4096 and c0 small or, as in the orbit draws, near -c1 alpha."""
+    c1 = draw(st.one_of(st.just(0), st.integers(-4096, 4096)))
+    c0 = draw(st.integers(-60, 60)) + draw(st.sampled_from((0, round(-c1 * float(d.alpha)))))
+    return (c0, c1) + tuple(draw(st.one_of(st.just(0), st.integers(-4, 4))) for _ in range(d.n - 2))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -89,8 +102,9 @@ def test_lift_matches_the_element_tree(data):
     d = data.draw(descriptors())
     bits = data.draw(st.sampled_from(BITS))
     t = Fraction(data.draw(st.integers(1, 9999)), 10**4)
-    t0 = CirclePoint(t if data.draw(st.booleans()) else binary(t, bits))
-    elements = data.draw(st.lists(st.tuples(st.integers(0, d.k - 1), coords(d.n)), min_size=6, max_size=6))
+    extra = data.draw(st.sampled_from((None, 0, 40)))  # None: exact; else bits beyond the working ones
+    t0 = CirclePoint(t if extra is None else binary(t, bits + extra))
+    elements = data.draw(st.lists(st.tuples(st.integers(0, d.k - 1), coords(d)), min_size=6, max_size=6))
     assert_lift_matches_tree(d, t0, Precision(working_bits=bits), elements)
 
 
@@ -140,7 +154,7 @@ def test_a_point_too_close_to_a_marked_point_keeps_only_the_identity(t0, n):
     d = CircleGroupDescriptor(BASES[2], n, 3, (1,) + (0,) * (n - 1))
     p = Precision(working_bits=256)
     image = _lift(d, t0, p)
-    assert image(0, (0,) * n) is t0
+    assert image(0, (0,) * n) == t0
     for j, h in some_elements(d)[1:]:
         with pytest.raises(PrecisionExhausted):
             image(j, h)
