@@ -237,28 +237,20 @@ def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u
 
 
 def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
-    """image(j, h): the image of point under the element (j, h), evaluated by
-    the group law on one lift of point.
-
-    The lift is made once, under the compiler's guards (homeo._chart): the arc
-    r of point, its line coordinate x in that arc's chart, and at each of the
-    n - 2 wrap levels the floor of x and the next x = h^-1(x - floor), down to
-    the deepest level or to an integer x, which every deeper coordinate
-    fixes.  An element adds c0 + c1 alpha, or its integer coordinate, at the
-    deepest level its coordinates reach; each level above takes h of the
-    level below plus its floor and its integer coordinate; the value leaves
-    the chart, and f^j, compiled once per j, follows.
-
-    The images are those of eval_circle(element_expr(d, (j, h)), point, p) up
-    to rounding: a marked point goes exactly to a marked point, an inexact
-    point inside the trust margin raises for every element but the identity,
-    and a guard hit at a level raises only for the elements whose
-    coordinates reach below it.  The tree also round-trips its partial images
-    through h and h^-1 between wrapped factors; the lift does not.
-    """
+    """image(j, h): the image of point under the element (j, h) by the group
+    law on one lift of point, made once under the compiler's guards: the arc r
+    and chart coordinate x of point, and at each of the n - 2 wrap levels the
+    floor of x and the next x = h^-1(x - floor), down to the deepest level or
+    to an integer x, which every deeper coordinate fixes.  An element adds
+    c0 + c1 alpha, or its integer coordinate, at the deepest level it reaches;
+    each level above takes h of the one below plus its floor and coordinate;
+    the value leaves the chart, and f^j, compiled once per j, follows.  Guard
+    and margin hits raise as in eval_circle(element_expr(d, (j, h)), point,
+    p), for the elements whose coordinates reach the level hit.  Unlike that
+    tree, the lift rounds c0 + c1 alpha once and does not round-trip partial
+    images through h and h^-1 between wrapped factors."""
     prec, k, n = p.working_bits, d.k, d.n
-    chart = _chart(prec)
-    split, h, h_inv = chart.split, chart.h, chart.h_inv
+    split, h, h_inv, *_, into_chart, out_of_chart = _chart(prec)
     t = point.t if point.is_exact else _raw(point.t._mpf_, prec)
     alpha = _raw(d.alpha, prec + 64)  # c1 alpha exact from it, rounded once with c0
     cycle = lru_cache(maxsize=None)(  # j -> f^j
@@ -273,7 +265,7 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
         margin = _fail(type(exc), str(exc))
     try:
         if _marked_index(t, k) is None:
-            r, x = chart.into_chart(t, k)
+            r, x = into_chart(t, k)
             xs.append(x)
             while len(xs) < n - 1 and (parts := split(x)) is not None:
                 floors.append(int(to_int(parts[0])))
@@ -304,7 +296,7 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
                 x = mpf_add(xs[depth], a, prec, _RN)
                 for level in range(depth - 1, -1, -1):
                     x = mpf_add(h(x), from_int(floors[level] + coords[n - 1 - level]), prec, _RN)
-                w = chart.out_of_chart(x, r, k)
+                w = out_of_chart(x, r, k)
         return _circle_point(cycle(j)(w))
 
     return image

@@ -25,7 +25,6 @@ invariance tests rely on.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -323,16 +322,13 @@ def _commuting(items) -> bool:
     return all(integer or depth == max(layers)[0] for depth, integer in layers)
 
 
-_Chart = namedtuple(
-    "_Chart", "split h h_inv rotate arc_floor chart_to_line chart_from_line into_chart out_of_chart"
-)
-
-
 @lru_cache(maxsize=16)
-def _chart(prec: int) -> _Chart:
-    """The guarded arithmetic of the base map and the arc charts at prec bits,
-    shared by the compiler and the orbit lift (circlegroup).  A fractional
-    part closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
+def _chart(prec: int):
+    """(split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
+    into_chart, out_of_chart): the guarded arithmetic of the base map and the
+    arc charts at prec bits, shared by the compiler and the orbit lift in
+    circlegroup.  A fractional part closer than 2^(-prec/2) to an integer
+    raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
     def guard(frac) -> None:
@@ -400,9 +396,8 @@ def _chart(prec: int) -> _Chart:
         v = chart_from_line(x, k)
         return rotate(v, Fraction(r, k)) if r else v
 
-    return _Chart(
-        split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line, into_chart, out_of_chart
-    )
+    return (split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
+            into_chart, out_of_chart)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
