@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_int, mpf_add, mpf_mul, round_nearest, to_int
+from mpmath.libmp import from_int, mpf_add, mpf_mul, to_int
 
 from .homeo import (
     CanonicalF,
@@ -34,6 +34,7 @@ from .homeo import (
     Identity,
     Power,
     Precision,
+    _RN,
     _chart,
     _check_margin,
     _circle_point,
@@ -198,8 +199,6 @@ def finite_orbit(d: CircleGroupDescriptor) -> list:
 
 
 # -- orbit sampling -----------------------------------------------------------------
-
-_RN = round_nearest
 
 #: scales for the alpha-coefficient of drawn elements; larger rungs refine the
 #: fractional spacing of the reachable translation lengths
