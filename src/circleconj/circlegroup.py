@@ -40,7 +40,6 @@ from .homeo import (
     _circle_point,
     _compile,
     _fail,
-    _marked_index,
     _raw,
     marked_point,
 )
@@ -243,7 +242,8 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
     to an integer x, which every deeper coordinate fixes.  An element adds
     c0 + c1 alpha, or its integer coordinate, at the deepest level it reaches;
     each level above takes h of the one below plus its floor and coordinate;
-    the value leaves the chart, and f^j, compiled once per j, follows.  Guard
+    f^j, compiled once per j, acts on that chart point, which then leaves the
+    chart, as in the tree's composition.  Guard
     and margin hits raise as in eval_circle(element_expr(d, (j, h)), point,
     p), for the elements whose coordinates reach the level hit.  Unlike that
     tree, the lift rounds c0 + c1 alpha once and does not round-trip partial
@@ -256,15 +256,16 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
         lambda j: _compile(element_expr(d, CircleElement(j, (0,) * n)), p, False)[0]
     )
     margin = blocked = None  # raisers: for every element but the identity; below xs[-1]
-    r, xs, floors = 0, [], []  # xs[level], and the floors of xs[:-1]
+    chart, xs, floors = None, [], []  # t's chart point, xs[level], and the floors of xs[:-1]
     try:
         if not point.is_exact:
             _check_margin(t, (k,), p, False)
     except EvalError as exc:
         margin = _fail(type(exc), str(exc))
     try:
-        if _marked_index(t, k) is None:
-            r, x = into_chart(t, k)
+        chart = into_chart(t, k)
+        if chart is not None:
+            x = chart.x
             xs.append(x)
             while len(xs) < n - 1 and (parts := split(x)) is not None:
                 floors.append(int(to_int(parts[0])))
@@ -295,8 +296,8 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
                 x = mpf_add(xs[depth], a, prec, _RN)
                 for level in range(depth - 1, -1, -1):
                     x = mpf_add(h(x), from_int(floors[level] + coords[n - 1 - level]), prec, _RN)
-                w = out_of_chart(x, r, k)
-        return _circle_point(cycle(j)(w))
+                w = chart._replace(x=x)
+        return _circle_point(out_of_chart(cycle(j)(w)))
 
     return image
 

@@ -49,6 +49,7 @@ from .homeo import (
     Identity,
     Inverse,
     Precision,
+    _chart,
     _check_margin,
     _compile,
     _raw_distance,
@@ -495,7 +496,9 @@ def verify_conjugation(
         "generators": [],
         "ok": True,
     }
-    # each map compiled once; psi(x) once per grid point, shared by every g'(psi(x))
+    # each map compiled once; x enters the arc chart once, and its chart point
+    # and psi's chart image are shared by every g and g'; each side leaves once
+    *_, into_chart, out_of_chart = _chart(p.working_bits)
     psi_run, psi_marks = _compile(psi, p, False)
     checks = []  # (gen, image, g, g', breakpoints of both compositions, deviations)
     for gen, image in conjugation_images(d1, d2, wit):
@@ -504,16 +507,17 @@ def verify_conjugation(
         checks.append((gen, image, g_run, image_run, psi_marks | g_marks | image_marks, []))
     for x in grid:
         try:
-            y = psi_run(x)
+            point = into_chart(x, d1.k)  # never None: the grid keeps off the marked points
+            y = psi_run(point)
         except EvalError as exc:
-            y = exc  # raised again for every generator, which skips x
+            point = y = exc  # raised again for every generator, which skips x
         for _, _, g_run, image_run, marks, deviations in checks:
             try:
                 _check_margin(x, marks, p, False)  # at x only, as for psi o g and g' o psi
-                a = psi_run(g_run(x))
                 if isinstance(y, EvalError):
                     raise y
-                deviations.append(_raw_distance(a, image_run(y), p.working_bits))
+                a, b = psi_run(g_run(point)), image_run(y)
+                deviations.append(_raw_distance(out_of_chart(a), out_of_chart(b), p.working_bits))
             except EvalError:
                 continue
     for gen, image, *_, deviations in checks:

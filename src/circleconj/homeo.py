@@ -4,8 +4,8 @@ Expressions are immutable trees of small node dataclasses.  Evaluation is
 pure: each call walks its tree once, compiling it into closures over raw
 mpmath.libmp values at ``working_bits``, rounding to nearest, which make the
 calls that mpf arithmetic makes under ``workprec``, in the same order, so
-results are bit-identical to evaluating with mpf objects.  It follows an
-error model:
+results on line maps and single circle nodes are bit-identical to evaluating
+with mpf objects.  It follows an error model:
 
 * results are trusted only at distance >= ``singular_margin`` (delta) from the
   breakpoints of the map (the integers for wrapped line maps, the marked
@@ -16,7 +16,12 @@ error model:
   where the tan/arctan round trip really does run out of headroom;
 * a power e^m compiles in one pass by the group law where e has a closed
   form, and so does each arc's line map inner . twist^(-r) of a twisted
-  CircleExtend; any other power repeats e, at most 64 times.
+  CircleExtend; any other power repeats e, at most 64 times;
+* circle maps compose in chart coordinates: between circle nodes a point
+  travels as a chart point (r, x), r rotations by 1/k past the arc
+  (1/k, 2/k) at the line coordinate x of that arc's chart, and it leaves the
+  chart once at the end, so a composition makes no tan/arctan round trip
+  between its nodes.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (
@@ -322,13 +328,22 @@ def _commuting(items) -> bool:
     return all(integer or depth == max(layers)[0] for depth, integer in layers)
 
 
+class _ChartPoint(NamedTuple):
+    """A circle point off the marked points j/k, r rotations by 1/k past the
+    arc (1/k, 2/k), at the line coordinate x (an mpf tuple) of that arc's chart."""
+
+    r: int
+    x: tuple
+    k: int
+
+
 @lru_cache(maxsize=16)
 def _chart(prec: int):
     """(split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
     into_chart, out_of_chart): the guarded arithmetic of the base map and the
-    arc charts at prec bits, shared by the compiler and the orbit lift in
-    circlegroup.  A fractional part closer than 2^(-prec/2) to an integer
-    raises PrecisionExhausted."""
+    arc charts at prec bits, shared by the compiler, the verification loop and
+    the orbit lift in circlegroup.  A fractional part closer than 2^(-prec/2)
+    to an integer raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
 
     def guard(frac) -> None:
@@ -386,15 +401,23 @@ def _chart(prec: int):
         return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
 
     def into_chart(t, k: int):
-        """(r, x): t, not marked, lies r rotations by 1/k past the arc
-        (1/k, 2/k), at the line coordinate x of that arc's chart."""
+        """t as a chart point of the k arcs, or None for a marked point j/k; a
+        chart point of these arcs is kept, one of other arcs leaves its chart."""
+        if type(t) is _ChartPoint:
+            if t.k == k:
+                return t
+            t = out_of_chart(t)
+        if _marked_index(t, k) is not None:
+            return None
         r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j
-        return r, chart_to_line(rotate(t, Fraction(-r, k)) if r else t, k)
+        return _ChartPoint(r, chart_to_line(rotate(t, Fraction(-r, k)) if r else t, k), k)
 
-    def out_of_chart(x, r: int, k: int):
-        """The circle point at line coordinate x of the arc r rotations past (1/k, 2/k)."""
-        v = chart_from_line(x, k)
-        return rotate(v, Fraction(r, k)) if r else v
+    def out_of_chart(t):
+        """A chart point as the circle value it stands for; a circle value as it is."""
+        if type(t) is not _ChartPoint:
+            return t
+        v = chart_from_line(t.x, t.k)
+        return rotate(v, Fraction(t.r, t.k)) if t.r else v
 
     return (split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
             into_chart, out_of_chart)
@@ -402,16 +425,21 @@ def _chart(prec: int):
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
     """(run, marks): e compiled in one walk into a closure on raw points of the
-    line (line=True; mpf tuples) or of the circle (Fractions or mpf tuples),
-    and the k of the breakpoints j/k of the compiled domain's nodes: 1 for an
-    HbarWrap or a Staircase on the line, k for a CanonicalF or a CircleExtend
-    on the circle, also where a shortcut skips compiling the node and inside a
-    zero or over-cap power.  Inside, build(e, m, line) compiles e^m.  A
-    staircase, a cycle map or a twisted extension compiles the powers of its
-    line map on first use, an untwisted extension its line map once.  The
-    chart arithmetic comes from _chart, and the Surd constants are bound once
-    per compile.  A node its domain does not accept, or a power over the cap,
-    raises when run."""
+    line (line=True; mpf tuples) or of the circle, and the k of the
+    breakpoints j/k of the compiled domain's nodes: 1 for an HbarWrap or a
+    Staircase on the line, k for a CanonicalF or a CircleExtend on the circle,
+    also where a shortcut skips compiling the node and inside a zero or
+    over-cap power.  A circle run takes and returns a circle value (a Fraction
+    or an mpf tuple) or a chart point (r, x): a CircleExtend enters the chart
+    once and maps (r, x) to (r, arc(r)(x)); a CanonicalF power e^m maps (r, x)
+    to ((r + m) mod k, gtilde^c(x)) with c = (r + m) // k, and a circle value
+    by a rigid rotation and a pass through the closing arc's chart.  Callers
+    leave the chart once, with _chart's out_of_chart.  Inside, build(e, m,
+    line) compiles e^m.  A staircase, a cycle map or a twisted extension
+    compiles the powers of its line map on first use, an untwisted extension
+    its line map once.  The chart arithmetic comes from _chart, and the Surd
+    constants are bound once per compile.  A node its domain does not accept,
+    or a power over the cap, raises when run."""
     prec, marks, domain = p.working_bits, set(), line
     (split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
      into_chart, out_of_chart) = _chart(prec)
@@ -469,6 +497,10 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             gtilde = lru_cache(maxsize=None)(lambda c: build(e.gtilde, c, True))  # c -> gtilde^c
 
             def cycle(t):
+                if type(t) is _ChartPoint and t.k == k:
+                    c, r = divmod(t.r + m, k)  # c signed passes from arc 0 into arc 1
+                    return _ChartPoint(r, gtilde(c)(t.x), k)
+                t = out_of_chart(t)
                 jm = _marked_index(t, k)
                 if jm is not None:
                     return Fraction((jm + m) % k, k)
@@ -491,10 +523,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             arc = lru_cache(maxsize=None)(lambda r: build(Compose.of(e.inner, Power(e.twist, -r)), m, True))
 
         def extended(t):
-            if _marked_index(t, k) is not None:
-                return t
-            r, x = into_chart(t, k)
-            return out_of_chart(arc(r)(x), r, k)
+            point = into_chart(t, k)
+            return t if point is None else _ChartPoint(point.r, arc(point.r)(point.x), k)
 
         return extended
 
@@ -516,7 +546,7 @@ def _evaluate(e: HomeoExpr, x, exact: bool, p: Precision, line: bool):
     run, marks = _compile(e, p, line)
     if not exact:
         _check_margin(x, marks, p, line)
-    return run(x)
+    return run(x) if line else _chart(p.working_bits)[-1](run(x))  # out of the chart
 
 
 def _raw_distance(a, b, prec: int):
@@ -602,11 +632,11 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
         raise ValueError("iters must be positive")
     point = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
     cur, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
-    run = _compile(e, p, False)[0]
+    run, out_of_chart = _compile(e, p, False)[0], _chart(prec)[-1]
     with mpmath.mp.workprec(prec):
         total = Fraction(0)
         for _ in range(iters):
-            nxt = run(cur)
+            nxt = out_of_chart(run(cur))
             if isinstance(nxt, Fraction) and isinstance(cur, Fraction):
                 step = (nxt - cur) % 1
             else:

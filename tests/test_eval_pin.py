@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "802221b14456ba3b8abe4fdd5c925e16ce7097aeb2f149917ee5bf232037a891"
+PINNED = "a600824cb1001dffffc0bcee749dbde86d8b449019737f9dd4abb7629fb008a8"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)

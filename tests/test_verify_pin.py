@@ -10,17 +10,26 @@ map whose closing map is a power of a dilation over the repeat cap, so psi
 raises on the arc (0, 1/2) and every generator skips those grid points.  A
 rewrite of the verification loop must leave the digest unchanged; a
 deliberate change of output updates it with a note.
+
+A second sha256 covers the same reports with every ``max_deviation``
+removed: the verdicts and the evaluated and skipped counts.  A change that
+moves only the rounding of the deviations, such as composing circle maps in
+chart coordinates, leaves it unchanged.
 """
 
+import copy
 import hashlib
 import json
+
+import pytest
 
 from circleconj.circlegroup import CircleGroupDescriptor
 from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, witness_to_homeo
 from circleconj.exactnum import Surd
 from circleconj.homeo import CanonicalF, Power, Precision, Scale
 
-PINNED = "594a8a4b415cbad8263173b1cbca55f714c6ff0f23a9f99ac7e71d1270d390e8"
+PINNED = "ad8326812397b6ba93712436cef142532fee94fe098fe7d490890b83d957cefe"
+PINNED_WITHOUT_DEVIATIONS = "13d67bdcb8078ce78a824d3d9e86d03adf65d5b2a7227c7bb3bf66a9df066e72"
 
 BITS = (128, 256)
 GRID = 16
@@ -71,7 +80,19 @@ def digest(reports):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def test_verify_reports_are_pinned():
-    reports = records()
+@pytest.fixture(scope="module")
+def reports():
+    return records()
+
+
+def test_verify_reports_are_pinned(reports):
     assert any(g["skipped"] > 0 for r in reports for g in r["generators"])
     assert digest(reports) == PINNED
+
+
+def test_verdicts_and_counts_are_pinned(reports):
+    reports = copy.deepcopy(reports)
+    for r in reports:
+        for g in r["generators"]:
+            del g["max_deviation"]
+    assert digest(reports) == PINNED_WITHOUT_DEVIATIONS
