@@ -199,8 +199,16 @@ def _add_shared_flags(parser, top_level: bool) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ValueError, for main to report on
+    one line, instead of printing the usage block and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circleconj",
         description="conjugacy engine for integer-lattice circle homeomorphism groups",
     )
@@ -252,7 +260,10 @@ _FLAG_RULES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        return _invalid(exc)
     for name, rule, holds in _FLAG_RULES:
         if hasattr(args, name) and not holds(getattr(args, name)):
             return _invalid(ValueError(rule))

@@ -320,6 +320,22 @@ def test_bad_sampling_flag_exit2(capsys, tmp_path, command, rule):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (("orbit", "--t0", "0.3", "--count", "abc"), "argument --count: invalid int value: 'abc'"),
+        (("verify", "--delta", "-1e+16"), "argument --delta: expected one argument"),
+    ],
+    ids=["count-not-an-int", "delta-read-as-a-flag"],
+)
+def test_unparsable_flag_exit2_on_one_line(capsys, tmp_path, command, message):
+    # argparse's own errors: no usage block, one line on stderr
+    a, b = str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json")
+    files = (a, "--out", str(tmp_path / "x.csv")) if command[0] == "orbit" else (a, b)
+    code, out, err = run(capsys, command[0], *files, *command[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_orbit_nonquadratic_base_point_exit3(capsys, tmp_path):
     d = write_descriptor(
         tmp_path, "nq.json", {"alpha": {"nonquadratic_cf": [0, 1, 2, 3, 4, 5]}, "n": 2, "k": 2, "g": [1, 0]}
