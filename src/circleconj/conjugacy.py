@@ -510,7 +510,7 @@ def verify_conjugation(
             point = into_chart(x, d1.k)  # never None: the grid keeps off the marked points
             y = psi_run(point)
         except EvalError as exc:
-            point = y = exc  # raised again for every generator, which skips x
+            y = exc  # raised again for every generator, which skips x
         for _, _, g_run, image_run, marks, deviations in checks:
             try:
                 _check_margin(x, marks, p, False)  # at x only, as for psi o g and g' o psi

@@ -21,7 +21,16 @@ from circleconj import homeo
 from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, element_expr, validate_g
 from circleconj.conjugacy import verify_conjugation, witness_to_homeo
 from circleconj.exactnum import Surd
-from circleconj.homeo import Compose, EvalError, Precision, circle_distance, eval_circle
+from circleconj.homeo import (
+    CircleExtend,
+    Compose,
+    EvalError,
+    HbarWrap,
+    Precision,
+    Translate,
+    circle_distance,
+    eval_circle,
+)
 from test_verify_pin import conjugate_pairs
 
 # the base points the benchmark draws its groups over
@@ -111,8 +120,7 @@ def test_verify_enters_the_chart_once_per_point_and_leaves_it_once_per_side(monk
 def test_a_chart_point_of_other_arcs_leaves_its_chart_first(k):
     # a CircleExtend over 2k arcs after one over k arcs: the chart point of the
     # k arcs leaves its chart before it enters the other one
-    sqrt2 = Surd.sqrt(2)
-    outer, inner = (homeo.CircleExtend(homeo.HbarWrap(homeo.Translate(sqrt2)), m) for m in (2 * k, k))
+    outer, inner = (CircleExtend(HbarWrap(Translate(Surd.sqrt(2))), m) for m in (2 * k, k))
     p = Precision(working_bits=128)
     for t in (0.07, 0.3, 0.55, 0.83):
         fused = eval_circle(Compose((outer, inner)), t, p)
