@@ -65,7 +65,7 @@ class Precision:
     def __post_init__(self) -> None:
         if self.working_bits < 64:
             raise ValueError("working_bits must be at least 64")
-        if self.singular_margin <= 0:
+        if not self.singular_margin > 0:  # also rejects nan
             raise ValueError("singular_margin must be positive")
 
 
@@ -280,12 +280,6 @@ def _edge(frac, prec: int):
     """min(frac, 1 - frac): how far a fractional part lies from the integers."""
     rest = mpf_sub(fone, frac, prec, _RN)
     return rest if mpf_lt(rest, frac) else frac
-
-
-def _inside_margin(y, margin: float, prec: int) -> bool:
-    """Whether 0 < dist(y, Z) < margin: an inexact input inside the trust margin."""
-    d = _edge(mpf_sub(y, mpf_floor(y, prec, _RN), prec, _RN), prec)
-    return mpf_gt(d, fzero) and mpf_lt(d, from_float(margin))
 
 
 def _marked_index(t, k: int):
@@ -533,10 +527,12 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
 
 def _check_margin(x, marks, p: Precision, line: bool) -> None:
     """Raise PrecisionExhausted when the inexact raw point x lies closer than
-    ``singular_margin`` to a breakpoint j/k for a k in marks."""
+    ``singular_margin`` to a breakpoint j/k for a k in marks, but not on it."""
     prec = p.working_bits
     for k in marks:
-        if _inside_margin(mpf_mul_int(x, k, prec, _RN), k * p.singular_margin, prec):
+        y = mpf_mul_int(x, k, prec, _RN)
+        d = _edge(mpf_sub(y, mpf_floor(y, prec, _RN), prec, _RN), prec)
+        if mpf_gt(d, fzero) and mpf_lt(d, from_float(k * p.singular_margin)):
             where = "an integer breakpoint" if line else "a marked point"
             raise PrecisionExhausted(f"input closer than the trust margin to {where}")
 
@@ -595,30 +591,29 @@ def hbar_iter(e: HomeoExpr, m: int) -> HomeoExpr:
     return e
 
 
-# staircase() samples its inner map at this precision, to this bound
-_STAIR_CHECK = Precision(working_bits=128)
-_STAIR_TOL = 1e-15
+def _fixes_integers(e: HomeoExpr) -> bool:
+    """Whether e is built to fix every integer and each [i, i+1]: a wrapped
+    map, the identity, Translate(0) or Scale(1), or a composition, inverse or
+    power of such maps."""
+    kind = type(e)
+    if kind in (Inverse, Power):
+        return _fixes_integers(e.inner)
+    if kind is Compose:
+        return all(_fixes_integers(c) for c in e.items)
+    return kind in (HbarWrap, Identity) or e in (Translate(0), Scale(1))
 
 
 def staircase(e: HomeoExpr) -> HomeoExpr:
     """Validated Staircase node: e must fix every integer and preserve each
-    unit interval [i, i+1] (checked by sampling; wrapped maps pass
-    structurally)."""
+    unit interval [i, i+1], which _fixes_integers decides from the tree's
+    structure.  A circle node raises EvalError, and any other map the rule
+    does not accept raises ValueError."""
     if not isinstance(e, HomeoExpr):
         raise TypeError("staircase expects a HomeoExpr")
-    if not (isinstance(e, (HbarWrap, Identity))):
-        tol = mpmath.mpf(_STAIR_TOL)
-        for i in range(-2, 3):
-            if abs(eval_line(e, i, _STAIR_CHECK) - i) > tol:
-                raise ValueError("staircase inner map must fix every integer")
-            prev = mpmath.mpf(i)
-            for step in (0.25, 0.5, 0.75):
-                v = eval_line(e, i + step, _STAIR_CHECK)
-                if not (i <= v <= i + 1):
-                    raise ValueError("staircase inner map must preserve unit intervals")
-                if v <= prev:
-                    raise ValueError("staircase inner map must be increasing")
-                prev = v
+    if type(e) in _CIRCLE_NODES:
+        raise EvalError(f"{type(e).__name__} is not a line node")
+    if not _fixes_integers(e):
+        raise ValueError("staircase inner map must fix every integer")
     return Staircase(e)
 
 

@@ -35,6 +35,8 @@ from .homeo import (
     HomeoExpr,
     Scale,
     Translate,
+    _chart,
+    _raw,
     hbar_iter,
     staircase,
 )
@@ -119,7 +121,8 @@ def basis_exprs(d: LineGroupDescriptor) -> list:
 
 
 def _href(x):
-    return mpmath.mpf("0.5") + mpmath.atan(x) / mpmath.pi
+    """The base map 1/2 + arctan(x)/pi at 128 bits, as the evaluator computes it."""
+    return mpmath.mp.make_mpf(_chart(128)[1](_raw(x, 128)))
 
 
 def nontransitive_points(d: LineGroupDescriptor, bound: int):

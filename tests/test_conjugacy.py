@@ -440,10 +440,19 @@ def test_verification_rejects_a_margin_that_leaves_no_grid():
         verify_conjugation(psi, d1, d2, wit, p=Precision(singular_margin=0.125))
     report = verify_conjugation(psi, d1, d2, wit, grid_size=4, p=Precision(singular_margin=0.12))
     assert report["ok"]
-    # the margin is tested at the grid point t only, never at g(t) or psi(t),
-    # which this psi moves inside the wide margin
+    # no point is margin-tested, since psi, g and g' break only at the j/k and
+    # the grid keeps twice the margin from them; g(t) and psi(t), which this
+    # psi moves inside the wide margin, are evaluated as they are
     report = verify_conjugation(psi, d1, d2, wit, grid_size=16, p=Precision(singular_margin=0.12))
     assert report["ok"] and all(g["skipped"] == 0 for g in report["generators"])
+
+
+def test_verification_rejects_a_psi_with_other_breakpoints():
+    # this psi breaks at the thirds, which the grid for k = 2 does not avoid
+    d = D(ROOT2M1, 2, 2, (1, 0))
+    wit = decide(d, d).witness
+    with pytest.raises(ValueError, match=r"break at j/k for k in \[2, 3\], not only at k = 2"):
+        verify_conjugation(CircleExtend(Scale(2), 3), d, d, wit, grid_size=4, p=P)
 
 
 def test_realized_conjugation_with_base_point_change():

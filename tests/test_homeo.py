@@ -296,6 +296,17 @@ def test_staircase_rejects_bad_inner():
         staircase(Translate(1))
     with pytest.raises(ValueError):
         staircase(Scale(2))
+    # the rule reads the tree: a factor that moves the integers is rejected,
+    # even inside a power that is the identity
+    for inner in (Compose((HbarWrap(Translate(1)), Translate(1))), Power(Scale(2), 0)):
+        with pytest.raises(ValueError, match="staircase inner map must fix every integer"):
+            staircase(inner)
+    for inner in (
+        Inverse(HbarWrap(Scale(2))),
+        Power(HbarWrap(Translate(SQRT2)), -3),
+        Compose((Inverse(hbar_iter(Translate(1), 2)), Power(Scale(1), 2), Translate(0))),
+    ):
+        assert staircase(inner).inner == inner
 
 
 # ---------------------------------------------------------- circle evaluation
@@ -623,3 +634,5 @@ def test_precision_validation():
         Precision(working_bits=32)
     with pytest.raises(ValueError):
         Precision(singular_margin=0)
+    with pytest.raises(ValueError, match="singular_margin must be positive"):
+        Precision(singular_margin=float("nan"))

@@ -11,7 +11,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from circleconj import homeo
 from circleconj.circlegroup import CircleGroupDescriptor, validate_g
@@ -98,10 +98,13 @@ def test_a_power_of_a_line_element_is_the_element_of_the_multiple(element, n, x,
 
 @laws
 @given(line_elements(), st.integers(-64, 64), line_points, bits)
+# the power and the reference both raise PrecisionExhausted here (the exact
+# intermediate h^-1(h(2)) is the integer 2), so the example is discarded
+@example(element=(LineGroupDescriptor(BASES[0], 4), (0, 1, 1, 0)), n=2, x=0.5, working_bits=128)
 def test_powers_match_repeated_composition(element, n, x, working_bits):
     tau, p = element_to_expr(*element), Precision(working_bits=working_bits)
-    got = eval_line(Power(tau, n), x, p)
-    assert_close(got, reference(eval_line, repeated(tau, n), x, p), working_bits)
+    want = reference(eval_line, repeated(tau, n), x, p)
+    assert_close(eval_line(Power(tau, n), x, p), want, working_bits)
 
 
 @laws
@@ -109,8 +112,8 @@ def test_powers_match_repeated_composition(element, n, x, working_bits):
 def test_staircase_steps_match_repeated_composition(element, n, frac, working_bits):
     inner, p = HbarWrap(element_to_expr(*element)), Precision(working_bits=working_bits)
     x = n + frac  # step n applies inner^n
-    got = eval_line(staircase(inner), x, p)
-    assert_close(got, reference(eval_line, repeated(inner, n), x, p), working_bits)
+    want = reference(eval_line, repeated(inner, n), x, p)
+    assert_close(eval_line(staircase(inner), x, p), want, working_bits)
 
 
 @laws
@@ -119,8 +122,8 @@ def test_cycle_map_powers_match_repeated_composition(k, element, data, working_b
     f, p = CanonicalF(k, element_to_expr(*element)), Precision(working_bits=working_bits)
     m = data.draw(st.integers(-3 * k, 3 * k), label="m")
     t = (data.draw(st.integers(0, k - 1), label="arc") + data.draw(fracs, label="frac")) / k
-    got = eval_circle(Power(f, m), t, p)
-    assert_close(got, reference(eval_circle, repeated(f, m), t, p), working_bits)
+    want = reference(eval_circle, repeated(f, m), t, p)
+    assert_close(eval_circle(Power(f, m), t, p), want, working_bits)
     j = data.draw(st.integers(0, k - 1), label="j")
     assert eval_circle(Power(f, m), Fraction(j, k), p).t == Fraction((j + m) % k, k)
 
