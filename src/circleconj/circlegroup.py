@@ -245,9 +245,9 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
     f^j, compiled once per j, acts on that chart point, which then leaves the
     chart, as in the tree's composition.  Guard
     and margin hits raise as in eval_circle(element_expr(d, (j, h)), point,
-    p), for the elements whose coordinates reach the level hit.  Unlike that
-    tree, the lift rounds c0 + c1 alpha once and does not round-trip partial
-    images through h and h^-1 between wrapped factors."""
+    p), for the elements whose coordinates reach the level hit.  Like that
+    tree, the lift leaves each wrap level once; unlike it, the lift rounds
+    c0 + c1 alpha once."""
     prec, k, n = p.working_bits, d.k, d.n
     split, h, h_inv, *_, into_chart, out_of_chart = _chart(prec)
     t = point.t if point.is_exact else _raw(point.t._mpf_, prec)

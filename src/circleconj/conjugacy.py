@@ -498,7 +498,8 @@ def verify_conjugation(
         "ok": True,
     }
     # each map compiled once; x enters the arc chart once, and its chart point
-    # and psi's chart image are shared by every g and g'; each side leaves once
+    # and psi's chart image are shared by every g and g'; each side leaves the
+    # chart and each wrap level once
     *_, into_chart, out_of_chart = _chart(p.working_bits)
     psi_run, marks = _compile(psi, p, False)
     checks = []  # (gen, image, g, g', deviations)

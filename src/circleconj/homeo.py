@@ -4,8 +4,8 @@ Expressions are immutable trees of small node dataclasses.  Evaluation is
 pure: each call walks its tree once, compiling it into closures over raw
 mpmath.libmp values at ``working_bits``, rounding to nearest, which make the
 calls that mpf arithmetic makes under ``workprec``, in the same order, so
-results on line maps and single circle nodes are bit-identical to evaluating
-with mpf objects.  It follows an error model:
+results on line maps with at most one wrapped map and on single circle nodes
+are bit-identical to evaluating with mpf objects.  It follows an error model:
 
 * results are trusted only at distance >= ``singular_margin`` (delta) from the
   breakpoints of the map (the integers for wrapped line maps, the marked
@@ -13,7 +13,8 @@ with mpf objects.  It follows an error model:
   the entry points reject inexact inputs inside that margin;
 * interior stages of a nested evaluation guard themselves against genuine
   precision exhaustion at the much smaller threshold 2^(-working_bits/2),
-  where the tan/arctan round trip really does run out of headroom;
+  where the tan/arctan round trip really does run out of headroom, on entry
+  into each wrap level;
 * a power e^m compiles in one pass by the group law where e has a closed
   form, and so does each arc's line map inner . twist^(-r) of a twisted
   CircleExtend; any other power repeats e, at most 64 times;
@@ -21,7 +22,11 @@ with mpf objects.  It follows an error model:
   travels as a chart point (r, x), r rotations by 1/k past the arc
   (1/k, 2/k) at the line coordinate x of that arc's chart, and it leaves the
   chart once at the end, so a composition makes no tan/arctan round trip
-  between its nodes.
+  between its nodes;
+* wrapped maps compose in wrap coordinates in the same way: a point inside a
+  wrap level travels as a wrap point (i, y), its floor i and the coordinate
+  y one level down, and it leaves each level once, at the first map that
+  needs its flat value, so no round trip and no guard lies between them.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -63,8 +68,8 @@ class Precision:
     singular_margin: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.working_bits < 64:
-            raise ValueError("working_bits must be at least 64")
+        if not isinstance(self.working_bits, int) or self.working_bits < 64:
+            raise ValueError("working_bits must be an int of at least 64")
         if not self.singular_margin > 0:  # also rejects nan
             raise ValueError("singular_margin must be positive")
 
@@ -324,21 +329,31 @@ def _commuting(items) -> bool:
 
 class _ChartPoint(NamedTuple):
     """A circle point off the marked points j/k, r rotations by 1/k past the
-    arc (1/k, 2/k), at the line coordinate x (an mpf tuple) of that arc's chart."""
+    arc (1/k, 2/k), at the line coordinate x (an mpf tuple or a wrap point) of
+    that arc's chart."""
 
     r: int
     x: tuple
     k: int
 
 
+class _WrapPoint(NamedTuple):
+    """The line point i + h(y) off the integers: its floor i (an mpf tuple) and
+    the coordinate y one wrap level down (an mpf tuple or a wrap point)."""
+
+    i: tuple
+    y: tuple
+
+
 @lru_cache(maxsize=16)
 def _chart(prec: int):
-    """(split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
-    into_chart, out_of_chart): the guarded arithmetic of the base map and the
-    arc charts at prec bits, shared by the compiler, the verification loop and
-    the orbit lift in circlegroup.  A fractional part closer than 2^(-prec/2)
-    to an integer raises PrecisionExhausted."""
+    """(split, h, h_inv, flat, rotate, arc_floor, chart_to_line,
+    chart_from_line, into_chart, out_of_chart): the guarded arithmetic of the
+    base map and the arc charts at prec bits, shared by the compiler, the
+    verification loop and the orbit lift in circlegroup.  A fractional part
+    closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
+    offset = lru_cache(maxsize=4096)(lambda r, k: mpf_div(from_int(r), from_int(k), prec, _RN))
 
     def guard(frac) -> None:
         eps = _edge(frac, prec)
@@ -366,11 +381,18 @@ def _chart(prec: int):
             return fzero
         return mpf_tan(mpf_mul(pi, mpf_sub(y, fhalf, prec, _RN), prec, _RN), prec, _RN)
 
-    def rotate(t, q: Fraction):
-        """t + q mod 1, exact on Fractions."""
+    def flat(x):
+        """A wrap point as the raw line point i + h(y), one level at a time
+        from the deepest; a raw point as it is."""
+        if type(x) is not _WrapPoint:
+            return x
+        return mpf_add(h(flat(x.y)), x.i, prec, _RN)
+
+    def rotate(t, r: int, k: int):
+        """t + r/k mod 1, exact on Fractions; r/k is rounded once per (r, k)."""
         if isinstance(t, Fraction):
-            return (t + q) % 1
-        v = mpf_add(t, _raw(q, prec), prec, _RN)
+            return (t + Fraction(r, k)) % 1
+        v = mpf_add(t, offset(r, k), prec, _RN)
         return mpf_sub(v, mpf_floor(v, prec, _RN), prec, _RN)
 
     def arc_floor(t, k: int) -> int:
@@ -391,7 +413,7 @@ def _chart(prec: int):
         return h_inv(y)
 
     def chart_from_line(w, k: int):
-        v = mpf_div(mpf_add(h(w), fone, prec, _RN), from_int(k), prec, _RN)
+        v = mpf_div(mpf_add(h(flat(w)), fone, prec, _RN), from_int(k), prec, _RN)
         return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
 
     def into_chart(t, k: int):
@@ -404,16 +426,16 @@ def _chart(prec: int):
         if _marked_index(t, k) is not None:
             return None
         r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j
-        return _ChartPoint(r, chart_to_line(rotate(t, Fraction(-r, k)) if r else t, k), k)
+        return _ChartPoint(r, chart_to_line(rotate(t, -r, k) if r else t, k), k)
 
     def out_of_chart(t):
         """A chart point as the circle value it stands for; a circle value as it is."""
         if type(t) is not _ChartPoint:
             return t
         v = chart_from_line(t.x, t.k)
-        return rotate(v, Fraction(t.r, t.k)) if t.r else v
+        return rotate(v, t.r, t.k) if t.r else v
 
-    return (split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
+    return (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
             into_chart, out_of_chart)
 
 
@@ -423,19 +445,24 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
     breakpoints j/k of the compiled domain's nodes: 1 for an HbarWrap or a
     Staircase on the line, k for a CanonicalF or a CircleExtend on the circle,
     also where a shortcut skips compiling the node and inside a zero or
-    over-cap power.  A circle run takes and returns a circle value (a Fraction
-    or an mpf tuple) or a chart point (r, x): a CircleExtend enters the chart
-    once and maps (r, x) to (r, arc(r)(x)); a CanonicalF power e^m maps (r, x)
-    to ((r + m) mod k, gtilde^c(x)) with c = (r + m) // k, and a circle value
-    by a rigid rotation and a pass through the closing arc's chart.  Callers
-    leave the chart once, with _chart's out_of_chart.  Inside, build(e, m,
+    over-cap power.  A line run takes and returns an mpf tuple or a wrap point
+    (i, y): an HbarWrap splits a raw point once into (floor, h^-1(fraction))
+    and maps (i, y) to (i, inner(y)), a Staircase takes its step from i, an
+    integer Translate adds to i, and every other node flattens the point to
+    i + h(y) first, with _chart's flat.  A circle run takes and returns a
+    circle value (a Fraction or an mpf tuple) or a chart point (r, x), whose x
+    may be a wrap point: a CircleExtend enters the chart once and maps (r, x)
+    to (r, arc(r)(x)); a CanonicalF power e^m maps (r, x) to ((r + m) mod k,
+    gtilde^c(x)) with c = (r + m) // k, and a circle value by a rigid rotation
+    and a pass through the closing arc's chart.  Callers leave the wrap levels
+    with flat, or the chart with out_of_chart, once.  Inside, build(e, m,
     line) compiles e^m.  A staircase, a cycle map or a twisted extension
     compiles the powers of its line map on first use, an untwisted extension
     its line map once.  The chart arithmetic comes from _chart, and the Surd
     constants are bound once per compile.  A node its domain does not accept,
     or a power over the cap, raises when run."""
     prec, marks, domain = p.working_bits, set(), line
-    (split, h, h_inv, rotate, arc_floor, chart_to_line, chart_from_line,
+    (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
      into_chart, out_of_chart) = _chart(prec)
 
     def build(e: HomeoExpr, m: int, line: bool):
@@ -459,30 +486,33 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             return _fail(EvalError, f"{kind.__name__} is not a {'line' if line else 'circle'} node")
         if kind is Translate:
             a = _raw(e.a if m == 1 else e.a * m, prec)  # m a exact, rounded once
-            return lambda x: mpf_add(x, a, prec, _RN)
+            if e.a.b == 0 and e.a.c == 1:  # an integer moves a wrap point's floor
+                return lambda x: (_WrapPoint(mpf_add(x.i, a, prec, _RN), x.y) if type(x) is _WrapPoint
+                                  else mpf_add(x, a, prec, _RN))
+            return lambda x: mpf_add(flat(x), a, prec, _RN)
         if kind is Scale:
             u, op = _raw(e.u, prec), mpf_div if m < 0 else mpf_mul
-            return lambda x: op(x, u, prec, _RN)
+            return lambda x: op(flat(x), u, prec, _RN)
         if kind is HbarBase:
-            return h_inv if m < 0 else h
+            base = h_inv if m < 0 else h
+            return lambda x: base(flat(x))
         if line == domain:
             marks.add(1 if line else e.k)
         if kind is HbarWrap:
             inner = build(e.inner, m, True)
 
             def wrapped(x):
+                if type(x) is _WrapPoint:
+                    return _WrapPoint(x.i, inner(x.y))
                 parts = split(x)
-                if parts is None:
-                    return x
-                i, frac = parts
-                return mpf_add(h(inner(h_inv(frac))), i, prec, _RN)
+                return x if parts is None else _WrapPoint(parts[0], inner(h_inv(parts[1])))
 
             return wrapped
         if kind is Staircase:
             step = lru_cache(maxsize=None)(lambda n: build(e.inner, n * m, True))  # n -> inner^(n m)
 
             def stairs(x):
-                parts = split(x)
+                parts = x if type(x) is _WrapPoint else split(x)  # the floor is parts[0] either way
                 return x if parts is None else step(int(to_int(parts[0])))(x)
 
             return stairs
@@ -501,10 +531,10 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
                 s = (arc_floor(t, k) - 1) % k  # arcs from arc 1 on, arc 0 last
                 c = (s + m) // k  # signed passes from arc 0 into arc 1
                 if rigid or c == 0:
-                    return rotate(t, Fraction(m, k))
-                before = Fraction(k - s if m > 0 else -s, k)  # up to a pass into arc 1, or out of it
-                v = chart_from_line(gtilde(c)(chart_to_line(rotate(t, before), k)), k)
-                return rotate(v, Fraction(m, k) - before)
+                    return rotate(t, m, k)
+                before = k - s if m > 0 else -s  # steps of 1/k up to a pass into arc 1, or out of it
+                v = chart_from_line(gtilde(c)(chart_to_line(rotate(t, before, k), k)), k)
+                return rotate(v, m - before, k)
 
             return cycle
         k = e.k
@@ -542,7 +572,8 @@ def _evaluate(e: HomeoExpr, x, exact: bool, p: Precision, line: bool):
     run, marks = _compile(e, p, line)
     if not exact:
         _check_margin(x, marks, p, line)
-    return run(x) if line else _chart(p.working_bits)[-1](run(x))  # out of the chart
+    _, _, _, flat, *_, out_of_chart = _chart(p.working_bits)
+    return flat(run(x)) if line else out_of_chart(run(x))  # out of the wrap levels or the chart
 
 
 def _raw_distance(a, b, prec: int):

@@ -7,7 +7,8 @@ a time, up to the round trips that makes through the chart; marked points
 must stay exact.  An element tree is itself a composition of a cycle-map
 power and a bar extension, so only the node-by-node reference leaves the
 chart between every two circle nodes.  ``verify``
-enters the chart once per grid point and leaves it once per side, which the
+enters the chart once per grid point and leaves it once per side, and a
+point inside a wrap level leaves that level once per side too, which the
 last test holds by counting the tan and arctan calls, not by timing.
 """
 
@@ -87,10 +88,6 @@ def test_marked_points_stay_exact_through_compositions(pair, i, bits):
     assert fused == one_node_at_a_time((a, b, a), t, p)
 
 
-# tan and arctan calls of verify_conjugation at grid 48 and 256 bits on the
-# verify-pin pairs, before chart points: a round trip through the chart after
-# every circle node
-ROUND_TRIP_CALLS = (960, 980, 920, 892, 2304, 2516, 3046, 3054, 3036)
 GRID = 48
 
 
@@ -106,14 +103,15 @@ def test_verify_enters_the_chart_once_per_point_and_leaves_it_once_per_side(monk
 
     for name in ("mpf_tan", "mpf_atan"):
         monkeypatch.setattr(homeo, name, counted(getattr(homeo, name)))
-    for seed, ((d1, d2, wit), before) in enumerate(zip(conjugate_pairs(), ROUND_TRIP_CALLS)):
+    for seed, (d1, d2, wit) in enumerate(conjugate_pairs()):
         calls[0] = 0
         report = verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, grid_size=GRID, seed=seed)
         assert report["ok"], report
         if d1.n == 2:  # one tan into the chart, one arctan out per side and generator
             assert calls[0] <= 7 * GRID, (d1, calls[0])
-        else:
-            assert calls[0] <= 0.8 * before, (d1, calls[0], before)
+        else:  # and at rank 3 one tan into the wrap level for psi, one per generator
+            # g, and one arctan out of it per side and generator
+            assert calls[0] <= (2 + 5 * (d1.n + 1)) * GRID, (d1, calls[0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

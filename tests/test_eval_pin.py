@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "a600824cb1001dffffc0bcee749dbde86d8b449019737f9dd4abb7629fb008a8"
+PINNED = "43fe1b91ca1ce9c2f015a9952b9c75dd63079b37296edcf7da73fe46bea33021"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)

@@ -636,3 +636,6 @@ def test_precision_validation():
         Precision(singular_margin=0)
     with pytest.raises(ValueError, match="singular_margin must be positive"):
         Precision(singular_margin=float("nan"))
+    for bits in (128.5, float("nan"), "256"):  # else mpmath fails at the first evaluation
+        with pytest.raises(ValueError, match="working_bits must be an int of at least 64"):
+            Precision(working_bits=bits)
