@@ -35,6 +35,7 @@ from .homeo import (
     Power,
     Precision,
     _RN,
+    _WrapPoint,
     _chart,
     _check_margin,
     _circle_point,
@@ -241,15 +242,15 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
     floor of x and the next x = h^-1(x - floor), down to the deepest level or
     to an integer x, which every deeper coordinate fixes.  An element adds
     c0 + c1 alpha, or its integer coordinate, at the deepest level it reaches;
-    each level above takes h of the one below plus its floor and coordinate;
-    f^j, compiled once per j, acts on that chart point, which then leaves the
-    chart, as in the tree's composition.  Guard
+    each level above is the wrap point of the one below at its floor plus its
+    coordinate; f^j, compiled once per j, acts on that chart point, which then
+    leaves the wrap levels and the chart, as in the tree's composition.  Guard
     and margin hits raise as in eval_circle(element_expr(d, (j, h)), point,
     p), for the elements whose coordinates reach the level hit.  Like that
     tree, the lift leaves each wrap level once; unlike it, the lift rounds
     c0 + c1 alpha once."""
     prec, k, n = p.working_bits, d.k, d.n
-    split, h, h_inv, *_, into_chart, out_of_chart = _chart(prec)
+    split, _, h_inv, *_, into_chart, out_of_chart = _chart(prec)
     t = point.t if point.is_exact else _raw(point.t._mpf_, prec)
     alpha = _raw(d.alpha, prec + 64)  # c1 alpha exact from it, rounded once with c0
     cycle = lru_cache(maxsize=None)(  # j -> f^j
@@ -295,7 +296,7 @@ def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
                     a = from_int(coords[n - 1 - depth])
                 x = mpf_add(xs[depth], a, prec, _RN)
                 for level in range(depth - 1, -1, -1):
-                    x = mpf_add(h(x), from_int(floors[level] + coords[n - 1 - level]), prec, _RN)
+                    x = _WrapPoint(from_int(floors[level] + coords[n - 1 - level]), x)
                 w = chart._replace(x=x)
         return _circle_point(out_of_chart(cycle(j)(w)))
 

@@ -49,9 +49,9 @@ from .homeo import (
     Identity,
     Inverse,
     Precision,
+    _WrapPoint,
     _chart,
     _compile,
-    _raw_distance,
 )
 from .intmat import (
     StructuredMatrix,
@@ -469,7 +469,8 @@ def verify_conjugation(
 
     For each generator pair the identity psi o g == g' o psi is sampled on a
     random grid that keeps twice the trust margin from the marked points j/k,
-    the only breakpoints psi, g and g' may have (checked once per call);
+    the only breakpoints psi, g and g' may have (checked once per call), and
+    measured by circle distance, in the chart when both sides end on one arc;
     draws that still hit a precision guard are skipped and counted.  The
     report is JSON-ready.  Other breakpoints raise ValueError, and so do a
     tol that is not finite and positive and a trust margin of 1/(4k) or more,
@@ -497,10 +498,11 @@ def verify_conjugation(
         "generators": [],
         "ok": True,
     }
-    # each map compiled once; x enters the arc chart once, and its chart point
-    # and psi's chart image are shared by every g and g'; each side leaves the
-    # chart and each wrap level once
-    *_, into_chart, out_of_chart = _chart(p.working_bits)
+    # each map compiled once; x enters the arc chart once and, at rank >= 3, the
+    # outermost wrap level once, and that point and psi's image of it are shared
+    # by every g and g'; each side leaves each wrap level once, and the two
+    # sides leave the chart together, with one atan when they share an arc
+    split, _, h_inv, *_, distance, into_chart, _ = _chart(p.working_bits)
     psi_run, marks = _compile(psi, p, False)
     checks = []  # (gen, image, g, g', deviations)
     for gen, image in conjugation_images(d1, d2, wit):
@@ -513,13 +515,14 @@ def verify_conjugation(
     for x in grid:
         try:
             point = into_chart(x, d1.k)  # never None: the grid keeps off the marked points
+            if d1.n >= 3 and (parts := split(point.x)) is not None:  # as an HbarWrap splits it
+                point = point._replace(x=_WrapPoint(parts[0], h_inv(parts[1])))
             y = psi_run(point)
         except EvalError:
             continue  # every generator skips x
         for _, _, g_run, image_run, deviations in checks:
             try:
-                a, b = psi_run(g_run(point)), image_run(y)
-                deviations.append(_raw_distance(out_of_chart(a), out_of_chart(b), p.working_bits))
+                deviations.append(distance(psi_run(g_run(point)), image_run(y)))
             except EvalError:
                 continue
     for gen, image, *_, deviations in checks:

@@ -22,7 +22,8 @@ are bit-identical to evaluating with mpf objects.  It follows an error model:
   travels as a chart point (r, x), r rotations by 1/k past the arc
   (1/k, 2/k) at the line coordinate x of that arc's chart, and it leaves the
   chart once at the end, so a composition makes no tan/arctan round trip
-  between its nodes;
+  between its nodes, and two chart points of one arc are compared in the
+  chart, with one arctan;
 * wrapped maps compose in wrap coordinates in the same way: a point inside a
   wrap level travels as a wrap point (i, y), its floor i and the coordinate
   y one level down, and it leaves each level once, at the first map that
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (
-    fhalf, fone, from_float, from_int, from_rational, fzero, mpf_add, mpf_atan, mpf_div,
+    fhalf, fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_atan, mpf_div,
     mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift,
     mpf_sub, mpf_tan, mpf_pos, round_nearest, to_int, to_str,
 )
@@ -348,10 +349,11 @@ class _WrapPoint(NamedTuple):
 @lru_cache(maxsize=16)
 def _chart(prec: int):
     """(split, h, h_inv, flat, rotate, arc_floor, chart_to_line,
-    chart_from_line, into_chart, out_of_chart): the guarded arithmetic of the
-    base map and the arc charts at prec bits, shared by the compiler, the
-    verification loop and the orbit lift in circlegroup.  A fractional part
-    closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
+    chart_from_line, distance, into_chart, out_of_chart): the guarded
+    arithmetic of the base map and the arc charts at prec bits, shared by the
+    compiler, the verification loop and the orbit lift in circlegroup.  A
+    fractional part closer than 2^(-prec/2) to an integer raises
+    PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
     offset = lru_cache(maxsize=4096)(lambda r, k: mpf_div(from_int(r), from_int(k), prec, _RN))
 
@@ -435,8 +437,26 @@ def _chart(prec: int):
         v = chart_from_line(t.x, t.k)
         return rotate(v, t.r, t.k) if t.r else v
 
+    def distance(a, b):
+        """The shorter arc between two circle values as an mpf.  Two chart points
+        of one arc, at flat coordinates A and B, lie |atan A - atan B|/(pi k)
+        apart: |atan((A - B)/(1 + AB))|, or pi less it past a negative
+        denominator, so one atan; at k = 1 the shorter arc is taken.  Any other
+        pair leaves the chart first."""
+        if not (type(a) is type(b) is _ChartPoint and a.r == b.r and a.k == b.k):
+            return _raw_distance(out_of_chart(a), out_of_chart(b), prec)
+        k, A, B = a.k, flat(a.x), flat(b.x)
+        den = mpf_add(fone, mpf_mul(A, B), prec, _RN)  # the product exact, rounded once with 1
+        if mpf_eq(den, fzero):  # the arc lengths differ by exactly a half arc
+            return mpmath.mp.make_mpf(from_rational(1, 2 * k, prec, _RN))
+        angle = mpf_abs(mpf_atan(mpf_div(mpf_sub(A, B, prec, _RN), den, prec, _RN), prec, _RN))
+        if mpf_lt(den, fzero):
+            angle = mpf_sub(pi, angle, prec, _RN)
+        d = mpf_div(angle, mpf_mul_int(pi, k, prec, _RN), prec, _RN)
+        return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
+
     return (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
-            into_chart, out_of_chart)
+            distance, into_chart, out_of_chart)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
@@ -462,7 +482,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
     constants are bound once per compile.  A node its domain does not accept,
     or a power over the cap, raises when run."""
     prec, marks, domain = p.working_bits, set(), line
-    (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
+    (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line, _,
      into_chart, out_of_chart) = _chart(prec)
 
     def build(e: HomeoExpr, m: int, line: bool):

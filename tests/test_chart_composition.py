@@ -7,9 +7,12 @@ a time, up to the round trips that makes through the chart; marked points
 must stay exact.  An element tree is itself a composition of a cycle-map
 power and a bar extension, so only the node-by-node reference leaves the
 chart between every two circle nodes.  ``verify``
-enters the chart once per grid point and leaves it once per side, and a
-point inside a wrap level leaves that level once per side too, which the
-last test holds by counting the tan and arctan calls, not by timing.
+enters the chart once per grid point, and at rank 3 the wrap level once per
+grid point too; a point inside a wrap level leaves that level once per side,
+and the two sides of a comparison on one arc leave the chart with one
+arctan, which the trig-count test holds by counting the tan and arctan
+calls, not by timing.  That one-arctan distance must agree with the two
+sides leaving the chart one at a time.
 """
 
 from fractions import Fraction
@@ -17,6 +20,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath.libmp import from_float, from_int, from_rational
 
 from circleconj import homeo
 from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, element_expr, validate_g
@@ -29,6 +33,11 @@ from circleconj.homeo import (
     HbarWrap,
     Precision,
     Translate,
+    _ChartPoint,
+    _RN,
+    _WrapPoint,
+    _chart,
+    _raw_distance,
     circle_distance,
     eval_circle,
 )
@@ -107,11 +116,49 @@ def test_verify_enters_the_chart_once_per_point_and_leaves_it_once_per_side(monk
         calls[0] = 0
         report = verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, grid_size=GRID, seed=seed)
         assert report["ok"], report
-        if d1.n == 2:  # one tan into the chart, one arctan out per side and generator
-            assert calls[0] <= 7 * GRID, (d1, calls[0])
-        else:  # and at rank 3 one tan into the wrap level for psi, one per generator
-            # g, and one arctan out of it per side and generator
-            assert calls[0] <= (2 + 5 * (d1.n + 1)) * GRID, (d1, calls[0])
+        if d1.n == 2:  # one tan into the chart, one arctan out per generator
+            assert calls[0] <= (1 + (d1.n + 1)) * GRID, (d1, calls[0])
+        else:  # and at rank 3 one tan into the wrap level, shared by psi and every
+            # generator, and one arctan out of it per side and generator
+            assert calls[0] <= (2 + 3 * (d1.n + 1)) * GRID, (d1, calls[0])
+
+
+@st.composite
+def chart_point_pairs(draw):
+    """(a, b): two chart points of k in {1, 2, 3, 6} arcs, mostly of one arc,
+    each at a raw line coordinate or at a wrap point over one."""
+
+    def coordinate():
+        x = from_float(draw(st.one_of(st.floats(-8, 8), st.floats(-1e12, 1e12))))
+        return _WrapPoint(from_int(draw(st.integers(-3, 3))), x) if draw(st.booleans()) else x
+
+    k = draw(st.sampled_from((1, 2, 3, 6)))
+    r = draw(st.integers(0, k - 1))
+    arcs = (r, draw(st.sampled_from((r, r, r, (r + 1) % k))))
+    return tuple(_ChartPoint(arc, coordinate(), k) for arc in arcs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(chart_point_pairs(), st.sampled_from((128, 256)))
+def test_the_chart_distance_agrees_with_leaving_the_chart_side_by_side(pair, bits):
+    *_, distance, _, out_of_chart = _chart(bits)
+    a, b = pair
+    d = distance(a, b)
+    reference = _raw_distance(out_of_chart(a), out_of_chart(b), bits)
+    with mpmath.mp.workprec(2 * bits):
+        assert abs(d - reference) <= mpmath.mpf(2) ** (8 - bits), (pair, d, reference)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_the_chart_distance_at_its_exact_cases(k, bits):
+    distance = _chart(bits)[-3]
+    x, w = from_int(2), _WrapPoint(from_int(1), from_float(0.3))
+    # 1 + AB = 0 exactly: a half arc apart, with no division by the zero denominator
+    half = distance(_ChartPoint(1 % k, x, k), _ChartPoint(1 % k, from_rational(-1, 2, bits, _RN), k))
+    assert half == mpmath.mp.make_mpf(from_rational(1, 2 * k, bits, _RN))
+    for y in (x, w):  # one point twice: exactly 0
+        assert distance(_ChartPoint(0, y, k), _ChartPoint(0, y, k)) == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -511,8 +511,9 @@ def test_a_point_where_psi_raises_is_skipped_for_every_generator():
 
 
 def test_deviation_is_measured_at_working_precision():
-    # verify measures psi o g against g' o psi with _raw_distance at working_bits;
-    # at 53 bits the negative difference of two points 2^-200 apart folded to 0
+    # verify measures psi o g against g' o psi at working_bits, across arcs with
+    # _raw_distance; at 53 bits the negative difference of two points 2^-200
+    # apart folded to 0
     with mpmath.mp.workprec(256):
         x = mpmath.mpf(1) / 3
         y = x + mpmath.mpf(2) ** -200

@@ -14,7 +14,8 @@ deliberate change of output updates it with a note.
 A second sha256 covers the same reports with every ``max_deviation``
 removed: the verdicts and the evaluated and skipped counts.  A change that
 moves only the rounding of the deviations, such as composing circle maps in
-chart coordinates or wrapped maps in wrap coordinates, leaves it unchanged.
+chart coordinates or wrapped maps in wrap coordinates, or measuring two
+points of one arc with one arctan, leaves it unchanged.
 """
 
 import copy
@@ -28,7 +29,7 @@ from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, wi
 from circleconj.exactnum import Surd
 from circleconj.homeo import CanonicalF, Power, Precision, Scale
 
-PINNED = "99402116b2b1224aad46bac456dbdea2e31800804fdd666432bf91f5561d9802"
+PINNED = "1f468b37f9224c7fd4c66ac7bcb866360f5260f10507a0d5552cd66594d23a7b"
 PINNED_WITHOUT_DEVIATIONS = "13d67bdcb8078ce78a824d3d9e86d03adf65d5b2a7227c7bb3bf66a9df066e72"
 
 BITS = (128, 256)
