@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_int, mpf_add, mpf_mul, to_int
+from mpmath.libmp import from_int, mpf_add, mpf_mul
 
 from .homeo import (
     CanonicalF,
@@ -35,6 +35,7 @@ from .homeo import (
     Power,
     Precision,
     _RN,
+    _ChartPoint,
     _WrapPoint,
     _chart,
     _check_margin,
@@ -117,13 +118,8 @@ def canonical_f(d: CircleGroupDescriptor) -> CanonicalF:
 def bar_extend(d: CircleGroupDescriptor, v) -> HomeoExpr:
     """The circle extension of the line element with coordinates v; fixes
     every marked point and acts within the arcs."""
-    v = tuple(int(x) for x in v)
-    if len(v) != d.n:
-        raise ValueError(f"expected {d.n} coordinates, got {len(v)}")
-    inner = element_to_expr(d.line(), v)
-    if inner == Identity():
-        return Identity()
-    return CircleExtend(inner, d.k)
+    inner = element_to_expr(d.line(), v)  # which checks the coordinates
+    return Identity() if inner == Identity() else CircleExtend(inner, d.k)
 
 
 @dataclass(frozen=True)
@@ -235,72 +231,80 @@ def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u
     return (c0, c1) + middle + (int(round(target)),)
 
 
-def _lift(d: CircleGroupDescriptor, point: CirclePoint, p: Precision):
-    """image(j, h): the image of point under the element (j, h) by the group
-    law on one lift of point, made once under the compiler's guards: the arc r
-    and chart coordinate x of point, and at each of the n - 2 wrap levels the
-    floor of x and the next x = h^-1(x - floor), down to the deepest level or
-    to an integer x, which every deeper coordinate fixes.  An element adds
-    c0 + c1 alpha, or its integer coordinate, at the deepest level it reaches;
-    each level above is the wrap point of the one below at its floor plus its
-    coordinate; f^j, compiled once per j, acts on that chart point, which then
-    leaves the wrap levels and the chart, as in the tree's composition.  Guard
-    and margin hits raise as in eval_circle(element_expr(d, (j, h)), point,
-    p), for the elements whose coordinates reach the level hit.  Like that
-    tree, the lift leaves each wrap level once; unlike it, the lift rounds
-    c0 + c1 alpha once."""
+def _lift(d: CircleGroupDescriptor, p: Precision):
+    """The lifter of d at p.  lift(t), for a raw circle value t (a Fraction or
+    an mpf tuple) or a chart point, lifts t once under the compiler's guards:
+    its arc and chart coordinate x, and at each of the n - 2 wrap levels the
+    floor of x and the next x, read off a wrap point with no tan or split off
+    a raw x as h^-1(x - floor), down to the deepest level or to an integer x,
+    which every deeper coordinate fixes.  It returns t's chart point, each
+    level above another as its wrap point (t itself off the charts), and
+    image(j, h): t's image under (j, h) in the chart, by the group law on the
+    lift.  An element adds c0 + c1 alpha at the deepest level, or its integer
+    coordinate at the deepest level it reaches, as a compiled Translate does,
+    moves each floor above by its coordinate and applies f^j; with h = 0, f^j
+    acts on a raw t as given, so it stays raw, or on the lifted chart point.
+    Guard and margin hits raise as in eval_circle(element_expr(d, (j, h)), t,
+    p) for the elements reaching the level hit, but a chart point is not
+    margin-tested.  Each f^j is compiled once, each c0 + c1 alpha rounded once."""
     prec, k, n = p.working_bits, d.k, d.n
-    split, _, h_inv, *_, into_chart, out_of_chart = _chart(prec)
-    t = point.t if point.is_exact else _raw(point.t._mpf_, prec)
-    alpha = _raw(d.alpha, prec + 64)  # c1 alpha exact from it, rounded once with c0
-    cycle = lru_cache(maxsize=None)(  # j -> f^j
-        lambda j: _compile(element_expr(d, CircleElement(j, (0,) * n)), p, False)[0]
-    )
-    margin = blocked = None  # raisers: for every element but the identity; below xs[-1]
-    chart, xs, floors = None, [], []  # t's chart point, xs[level], and the floors of xs[:-1]
-    try:
-        if not point.is_exact:
-            _check_margin(t, (k,), p, False)
-    except EvalError as exc:
-        margin = _fail(type(exc), str(exc))
-    try:
-        chart = into_chart(t, k)
-        if chart is not None:
-            x = chart.x
-            xs.append(x)
-            while len(xs) < n - 1 and (parts := split(x)) is not None:
-                floors.append(int(to_int(parts[0])))
-                x = h_inv(parts[1])
-                xs.append(x)
-    except EvalError as exc:
-        blocked = _fail(type(exc), str(exc))
+    chart = _chart(prec)
+    alpha = _raw(d.alpha, prec + 64)  # c1 alpha exact from it, rounded once with c0 by shift
+    shift = lru_cache(None)(lambda c0, c1: mpf_add(mpf_mul(alpha, from_int(c1)), from_int(c0), prec, _RN))
+    cycle = lru_cache(None)(lambda j: _compile(Power(canonical_f(d), j), p, False)[0])  # j -> f^j
 
-    def image(j: int, coords) -> CirclePoint:
-        if j == 0 and not any(coords):
-            return _circle_point(t)
-        if margin:
-            margin(t)
-        w = t
-        if any(coords):
-            c0, c1 = coords[0], coords[1]
-            # level of coordinate i >= 2 is n - 1 - i; c0 + c1 alpha acts at level n - 2
-            depth = n - 2 if c0 or c1 else next(n - 1 - i for i in range(2, n) if coords[i])
-            if depth >= len(xs):
-                if blocked:
-                    blocked(t)
-                depth = len(xs) - 1  # an integer there, or -1 for a marked point
-            if depth >= 0:
-                if depth == n - 2:
-                    a = mpf_add(mpf_mul(alpha, from_int(c1)), from_int(c0), prec, _RN)
-                else:
-                    a = from_int(coords[n - 1 - depth])
-                x = mpf_add(xs[depth], a, prec, _RN)
-                for level in range(depth - 1, -1, -1):
-                    x = _WrapPoint(from_int(floors[level] + coords[n - 1 - level]), x)
-                w = chart._replace(x=x)
-        return _circle_point(out_of_chart(cycle(j)(w)))
+    def lift(t):
+        margin = blocked = None  # raisers: for every element but the identity; below levels[-1]
+        point, floors, levels = None, [], []  # t's chart point; the floors read or split off; each level
+        if type(t) is tuple:  # an inexact circle value
+            try:
+                _check_margin(t, (k,), p, False)
+            except EvalError as exc:
+                margin = _fail(type(exc), str(exc))
+        try:
+            point = chart.into_chart(t, k)
+            if point is not None:
+                x = point.x  # each wrap level read off a wrap point, or split off a raw x with a tan
+                while len(floors) < n - 2 and (parts := x if type(x) is _WrapPoint else chart.split(x)):
+                    x = parts[1] if type(x) is _WrapPoint else chart.h_inv(parts[1])
+                    floors.append(parts[0])
+        except EvalError as exc:
+            blocked = _fail(type(exc), str(exc))
+        if point is not None:
+            levels = [x]
+            for i in reversed(floors):
+                levels.insert(0, _WrapPoint(i, levels[0]))
+            point = _ChartPoint(point.r, levels[0], k) if floors else point
+        source = point if type(t) is _ChartPoint else t
 
-    return image
+        def image(j: int, coords):
+            moved = any(coords)
+            if margin and (j or moved):
+                margin(t)
+            w = source
+            if moved:
+                # level of coordinate i >= 2 is n - 1 - i; c0 + c1 alpha acts at level n - 2
+                depth = n - 2 if coords[0] or coords[1] else next(n - 1 - i for i in range(2, n) if coords[i])
+                if depth >= len(levels):
+                    if blocked:
+                        blocked(t)
+                    depth = len(levels) - 1  # an integer there, or -1 for a marked point
+                if depth >= 0:
+                    x = levels[depth]
+                    if depth < n - 2 and type(x) is _WrapPoint:  # an integer moves the floor
+                        x = _WrapPoint(mpf_add(x.i, from_int(coords[n - 1 - depth]), prec, _RN), x.y)
+                    else:
+                        a = shift(coords[0], coords[1]) if depth == n - 2 else from_int(coords[n - 1 - depth])
+                        x = mpf_add(chart.flat(x), a, prec, _RN)
+                    for level in range(depth - 1, -1, -1):  # each floor above moves by its coordinate
+                        i, c = levels[level].i, coords[n - 1 - level]
+                        x = _WrapPoint(mpf_add(i, from_int(c), prec, _RN) if c else i, x)
+                    w = _ChartPoint(point.r, x, k)
+            return cycle(j)(w) if j else w
+
+        return (t if point is None else point), image
+
+    return lift
 
 
 @dataclass(frozen=True)
@@ -322,8 +326,8 @@ def orbit_sample(
     Returns the sorted image points (t0 included), the largest circular gap
     between consecutive images, and the number of draws skipped because the
     evaluation hit a guard.  The draws are evaluated on one lift of t0, its
-    chart coordinates at every wrap level, made once per sample (_lift), and
-    each cycle power f^j is compiled once per sample.  A declared
+    chart coordinates at every wrap level, by one lifter per sample (_lift),
+    and each image leaves the chart once.  A declared
     non-quadratic base point is refused with TypeError: its elements have no
     exact translation lengths.
     """
@@ -338,7 +342,8 @@ def orbit_sample(
     arc0 = min(int(t0f), d.k - 1)
     # line coordinate of t0 inside its arc; aimed windows are centred on it
     base = math.tan(math.pi * (min(max(t0f - arc0, 1e-9), 1 - 1e-9) - 0.5))
-    image = _lift(d, t0, p)
+    _, image = _lift(d, p)(t0.t if t0.is_exact else _raw(t0.t._mpf_, p.working_bits))
+    out_of_chart = _chart(p.working_bits).out_of_chart
     values = [t0.approx(p.working_bits)]
     skipped = 0
     strata = max(1, -(-count // d.k))  # complete stratified sweep per arc
@@ -350,7 +355,7 @@ def orbit_sample(
         u = (i // d.k + rng.random()) / strata
         h = _draw_coords(d, rng, alpha_f, u, base + (drift if crossed else 0.0))
         try:
-            values.append(image(j, h).approx(p.working_bits))
+            values.append(_circle_point(out_of_chart(image(j, h))).approx(p.working_bits))
         except EvalError:
             skipped += 1
     low = min(v.exp for v in values)

@@ -69,7 +69,11 @@ def _invalid(exc: Exception) -> int:
 
 def _load_descriptor(path: str) -> CircleGroupDescriptor:
     with open(path, "r", encoding="utf-8") as fh:
-        return CircleGroupDescriptor.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # malformed input, nested deeper than the parser's stack
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return CircleGroupDescriptor.from_json(obj)
 
 
 def _emit(obj: dict, out_path=None) -> None:

@@ -23,11 +23,7 @@ from math import gcd, inf
 
 import mpmath
 
-from .circlegroup import (
-    CircleElement,
-    CircleGroupDescriptor,
-    element_expr,
-)
+from .circlegroup import CircleElement, CircleGroupDescriptor, _lift
 from .exactnum import (
     CertificateError,
     NonQuadraticAlpha,
@@ -49,7 +45,6 @@ from .homeo import (
     Identity,
     Inverse,
     Precision,
-    _WrapPoint,
     _chart,
     _compile,
 )
@@ -469,9 +464,11 @@ def verify_conjugation(
 
     For each generator pair the identity psi o g == g' o psi is sampled on a
     random grid that keeps twice the trust margin from the marked points j/k,
-    the only breakpoints psi, g and g' may have (checked once per call), and
-    measured by circle distance, in the chart when both sides end on one arc;
-    draws that still hit a precision guard are skipped and counted.  The
+    where g and g' break and the only breakpoints psi may have (checked once
+    per call), and measured by circle distance, in the chart when both sides
+    end on one arc; draws that still hit a precision guard are skipped and
+    counted.  Only psi is compiled: every g and g' is evaluated on one lift of
+    each grid point x in d1 and one of psi(x) in d2 (circlegroup._lift).  The
     report is JSON-ready.  Other breakpoints raise ValueError, and so do a
     tol that is not finite and positive and a trust margin of 1/(4k) or more,
     which leaves no grid point.
@@ -498,43 +495,35 @@ def verify_conjugation(
         "generators": [],
         "ok": True,
     }
-    # each map compiled once; x enters the arc chart once and, at rank >= 3, the
-    # outermost wrap level once, and that point and psi's image of it are shared
-    # by every g and g'; each side leaves each wrap level once, and the two
-    # sides leave the chart together, with one atan when they share an arc
-    split, _, h_inv, *_, distance, into_chart, _ = _chart(p.working_bits)
+    # x enters the arc chart once, and its lift and the lift of psi(x) are
+    # shared by every g and g'; each side leaves each wrap level once, and the
+    # two sides leave the chart together, with one atan when they share an arc
+    chart, lift1, lift2 = _chart(p.working_bits), _lift(d1, p), _lift(d2, p)
     psi_run, marks = _compile(psi, p, False)
-    checks = []  # (gen, image, g, g', deviations)
-    for gen, image in conjugation_images(d1, d2, wit):
-        g_run, g_marks = _compile(element_expr(d1, gen), p, False)
-        image_run, image_marks = _compile(element_expr(d2, image), p, False)
-        marks |= g_marks | image_marks
-        checks.append((gen, image, g_run, image_run, []))
-    if marks != {d1.k}:  # then the grid keeps the trust margin from every breakpoint
-        raise ValueError(f"the maps break at j/k for k in {sorted(marks)}, not only at k = {d1.k}")
+    if not marks | {d2.k} <= {d1.k}:  # psi and g' break only where the grid keeps the trust margin
+        breaks = sorted(marks | {d1.k, d2.k})
+        raise ValueError(f"the maps break at j/k for k in {breaks}, not only at k = {d1.k}")
+    checks = [(gen, image, []) for gen, image in conjugation_images(d1, d2, wit)]  # with deviations
     for x in grid:
         try:
-            point = into_chart(x, d1.k)  # never None: the grid keeps off the marked points
-            if d1.n >= 3 and (parts := split(point.x)) is not None:  # as an HbarWrap splits it
-                point = point._replace(x=_WrapPoint(parts[0], h_inv(parts[1])))
-            y = psi_run(point)
+            point, image1 = lift1(chart.into_chart(x, d1.k))  # a chart point: the grid keeps off the j/k
+            _, image2 = lift2(psi_run(point))
         except EvalError:
             continue  # every generator skips x
-        for _, _, g_run, image_run, deviations in checks:
+        for gen, image, deviations in checks:
             try:
-                deviations.append(distance(psi_run(g_run(point)), image_run(y)))
+                deviations.append(chart.distance(psi_run(image1(gen.j, gen.h)), image2(image.j, image.h)))
             except EvalError:
                 continue
-    for gen, image, *_, deviations in checks:
+    for gen, image, deviations in checks:
         worst = max(deviations, default=mpmath.mpf(0))
-        entry = {
+        report["generators"].append({
             "generator": gen.to_json(),
             "image": image.to_json(),
             "max_deviation": float(worst),
             "evaluated": len(deviations),
             "skipped": len(grid) - len(deviations),
-        }
-        report["generators"].append(entry)
+        })
         if worst > mpmath.mpf(tol) or len(deviations) / max(1, len(grid)) < 0.9:
             report["ok"] = False
     return report

@@ -36,6 +36,7 @@ invariance tests rely on.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -346,14 +347,16 @@ class _WrapPoint(NamedTuple):
     y: tuple
 
 
+_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc_floor chart_to_line chart_from_line "
+                               "distance into_chart out_of_chart")
+
+
 @lru_cache(maxsize=16)
-def _chart(prec: int):
-    """(split, h, h_inv, flat, rotate, arc_floor, chart_to_line,
-    chart_from_line, distance, into_chart, out_of_chart): the guarded
-    arithmetic of the base map and the arc charts at prec bits, shared by the
-    compiler, the verification loop and the orbit lift in circlegroup.  A
-    fractional part closer than 2^(-prec/2) to an integer raises
-    PrecisionExhausted."""
+def _chart(prec: int) -> _Chart:
+    """The guarded arithmetic of the base map and the arc charts at prec bits,
+    shared by the compiler, the verification loop and the lifter in
+    circlegroup, with its members named as in _Chart.  A fractional part
+    closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
     offset = lru_cache(maxsize=4096)(lambda r, k: mpf_div(from_int(r), from_int(k), prec, _RN))
 
@@ -455,8 +458,8 @@ def _chart(prec: int):
         d = mpf_div(angle, mpf_mul_int(pi, k, prec, _RN), prec, _RN)
         return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
 
-    return (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
-            distance, into_chart, out_of_chart)
+    return _Chart(split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
+                  distance, into_chart, out_of_chart)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
@@ -481,9 +484,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
     its line map once.  The chart arithmetic comes from _chart, and the Surd
     constants are bound once per compile.  A node its domain does not accept,
     or a power over the cap, raises when run."""
-    prec, marks, domain = p.working_bits, set(), line
-    (split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line, _,
-     into_chart, out_of_chart) = _chart(prec)
+    prec, marks, domain, chart = p.working_bits, set(), line, _chart(p.working_bits)
+    split, h_inv, flat, into_chart = chart.split, chart.h_inv, chart.flat, chart.into_chart
 
     def build(e: HomeoExpr, m: int, line: bool):
         kind = type(e)
@@ -514,7 +516,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             u, op = _raw(e.u, prec), mpf_div if m < 0 else mpf_mul
             return lambda x: op(flat(x), u, prec, _RN)
         if kind is HbarBase:
-            base = h_inv if m < 0 else h
+            base = h_inv if m < 0 else chart.h
             return lambda x: base(flat(x))
         if line == domain:
             marks.add(1 if line else e.k)
@@ -537,23 +539,23 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
 
             return stairs
         if kind is CanonicalF:
-            k, rigid = e.k, isinstance(e.gtilde, Identity)
+            k, rigid, rotate = e.k, isinstance(e.gtilde, Identity), chart.rotate
             gtilde = lru_cache(maxsize=None)(lambda c: build(e.gtilde, c, True))  # c -> gtilde^c
 
             def cycle(t):
                 if type(t) is _ChartPoint and t.k == k:
                     c, r = divmod(t.r + m, k)  # c signed passes from arc 0 into arc 1
                     return _ChartPoint(r, gtilde(c)(t.x), k)
-                t = out_of_chart(t)
+                t = chart.out_of_chart(t)
                 jm = _marked_index(t, k)
                 if jm is not None:
                     return Fraction((jm + m) % k, k)
-                s = (arc_floor(t, k) - 1) % k  # arcs from arc 1 on, arc 0 last
+                s = (chart.arc_floor(t, k) - 1) % k  # arcs from arc 1 on, arc 0 last
                 c = (s + m) // k  # signed passes from arc 0 into arc 1
                 if rigid or c == 0:
                     return rotate(t, m, k)
                 before = k - s if m > 0 else -s  # steps of 1/k up to a pass into arc 1, or out of it
-                v = chart_from_line(gtilde(c)(chart_to_line(rotate(t, before, k), k)), k)
+                v = chart.chart_from_line(gtilde(c)(chart.chart_to_line(rotate(t, before, k), k)), k)
                 return rotate(v, m - before, k)
 
             return cycle
@@ -592,8 +594,8 @@ def _evaluate(e: HomeoExpr, x, exact: bool, p: Precision, line: bool):
     run, marks = _compile(e, p, line)
     if not exact:
         _check_margin(x, marks, p, line)
-    _, _, _, flat, *_, out_of_chart = _chart(p.working_bits)
-    return flat(run(x)) if line else out_of_chart(run(x))  # out of the wrap levels or the chart
+    chart = _chart(p.working_bits)
+    return chart.flat(run(x)) if line else chart.out_of_chart(run(x))  # out of the wrap levels or the chart
 
 
 def _raw_distance(a, b, prec: int):
@@ -678,7 +680,7 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
         raise ValueError("iters must be positive")
     point = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
     cur, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
-    run, out_of_chart = _compile(e, p, False)[0], _chart(prec)[-1]
+    run, out_of_chart = _compile(e, p, False)[0], _chart(prec).out_of_chart
     with mpmath.mp.workprec(prec):
         total = Fraction(0)
         for _ in range(iters):

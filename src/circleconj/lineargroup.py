@@ -122,7 +122,7 @@ def basis_exprs(d: LineGroupDescriptor) -> list:
 
 def _href(x):
     """The base map 1/2 + arctan(x)/pi at 128 bits, as the evaluator computes it."""
-    return mpmath.mp.make_mpf(_chart(128)[1](_raw(x, 128)))
+    return mpmath.mp.make_mpf(_chart(128).h(_raw(x, 128)))
 
 
 def nontransitive_points(d: LineGroupDescriptor, bound: int):

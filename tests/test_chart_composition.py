@@ -6,13 +6,15 @@ evaluating them one at a time, and with evaluating their circle nodes one at
 a time, up to the round trips that makes through the chart; marked points
 must stay exact.  An element tree is itself a composition of a cycle-map
 power and a bar extension, so only the node-by-node reference leaves the
-chart between every two circle nodes.  ``verify``
-enters the chart once per grid point, and at rank 3 the wrap level once per
-grid point too; a point inside a wrap level leaves that level once per side,
-and the two sides of a comparison on one arc leave the chart with one
-arctan, which the trig-count test holds by counting the tan and arctan
-calls, not by timing.  That one-arctan distance must agree with the two
-sides leaving the chart one at a time.
+chart between every two circle nodes.  ``verify`` enters the chart once per
+grid point, and its lift of the point enters the wrap level at rank 3 once
+per grid point too; psi(x) arrives inside that level, where the lift of
+psi(x) reads it with no tan.  Each g and g' acts on those lifts, each side
+of a comparison leaves the wrap level once, and the two sides on one arc
+leave the chart with one arctan, which the trig-count test holds by counting
+the tan and arctan calls, not by timing.  That one-arctan distance must
+agree with the two sides leaving the chart one at a time; the chart's
+members are taken by name.
 """
 
 from fractions import Fraction
@@ -141,10 +143,10 @@ def chart_point_pairs(draw):
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(chart_point_pairs(), st.sampled_from((128, 256)))
 def test_the_chart_distance_agrees_with_leaving_the_chart_side_by_side(pair, bits):
-    *_, distance, _, out_of_chart = _chart(bits)
+    chart = _chart(bits)
     a, b = pair
-    d = distance(a, b)
-    reference = _raw_distance(out_of_chart(a), out_of_chart(b), bits)
+    d = chart.distance(a, b)
+    reference = _raw_distance(chart.out_of_chart(a), chart.out_of_chart(b), bits)
     with mpmath.mp.workprec(2 * bits):
         assert abs(d - reference) <= mpmath.mpf(2) ** (8 - bits), (pair, d, reference)
 
@@ -152,7 +154,7 @@ def test_the_chart_distance_agrees_with_leaving_the_chart_side_by_side(pair, bit
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 @pytest.mark.parametrize("bits", [128, 256])
 def test_the_chart_distance_at_its_exact_cases(k, bits):
-    distance = _chart(bits)[-3]
+    distance = _chart(bits).distance
     x, w = from_int(2), _WrapPoint(from_int(1), from_float(0.3))
     # 1 + AB = 0 exactly: a half arc apart, with no division by the zero denominator
     half = distance(_ChartPoint(1 % k, x, k), _ChartPoint(1 % k, from_rational(-1, 2, bits, _RN), k))

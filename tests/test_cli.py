@@ -236,6 +236,29 @@ def test_verify_corrupted_witness_fails(capsys):
     assert blob["corrupt_witness"] is True
 
 
+def test_verify_a_group_against_itself(capsys, tmp_path):
+    # the witness realizes psi = Identity(), which breaks nowhere
+    for n, k, g in ((2, 2, [1, 0]), (3, 3, [1, 0, 2])):
+        path = write_descriptor(tmp_path, f"self{n}.json", {"alpha": ROOT2, "n": n, "k": k, "g": g})
+        code, out, _ = run(capsys, "verify", path, path, "--grid", "12")
+        assert code == 0
+        generators = json.loads(out)["report"]["generators"]
+        assert all((g["evaluated"], g["skipped"]) == (12, 0) for g in generators)
+
+
+@pytest.mark.parametrize("command", ["decide", "verify", "orbit"])
+def test_deeply_nested_descriptor_exit2_on_one_line(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    args = [str(path)] if command == "orbit" else [str(path), str(path)]
+    if command == "orbit":
+        args += ["--t0", "0.3", "--out", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, command, *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_verify_not_conjugate_exit3(capsys, tmp_path):
     d2 = write_descriptor(
         tmp_path, "other.json", {"alpha": ROOT2, "n": 2, "k": 2, "g": [1, 1]}

@@ -9,8 +9,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from circleconj import conjugacy, homeo
-from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, validate_g
+from circleconj import circlegroup, conjugacy, homeo
+from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, canonical_f, validate_g
 from circleconj.conjugacy import (
     ConjugacyWitness,
     StructuredMatrix,
@@ -483,16 +483,30 @@ def test_verification_compiles_each_map_once(monkeypatch, n, k, g1, g2):
         compiled.append(e)
         return compile_tree(e, p, line)
 
-    for module in (homeo, conjugacy):  # conjugacy imports the helper by name
+    for module in (homeo, conjugacy, circlegroup):  # which import the helper by name
         monkeypatch.setattr(module, "_compile", counting)
-    counts = []
+    # g and g' are evaluated on lifts, whose lifters (one for d1, one for d2)
+    # compile each cycle-map power f^j at most once
+    cycle_powers = [Power(canonical_f(d), j) for d in (d1, d2) for j in range(1, k)]
     for grid_size in (4, 16):
         compiled.clear()
         report = verify_conjugation(psi, d1, d2, wit, grid_size=grid_size, p=P)
         assert report["ok"], report
-        counts.append(len(compiled))
         assert compiled.count(psi) == 1
-    assert counts == [1 + 2 * (n + 1)] * 2
+        rest = [e for e in compiled if e != psi]
+        assert all(rest.count(e) <= cycle_powers.count(e) for e in rest), rest
+
+
+@pytest.mark.parametrize("n, k, g", [(2, 1, (1, 1)), (2, 3, (1, 0)), (3, 2, (1, 0, 2)), (4, 3, (0, 1, 0, 1))])
+def test_a_group_verified_against_itself_evaluates_every_grid_point(n, k, g):
+    # for d = d the witness realizes psi = Identity(), which has no breakpoints
+    d = D(ROOT2M1, n, k, g)
+    wit = decide(d, d).witness
+    psi = witness_to_homeo(d, d, wit)
+    assert psi == Identity()
+    report = verify_conjugation(psi, d, d, wit, grid_size=16, p=P)
+    assert report["ok"], report
+    assert all((g["evaluated"], g["skipped"]) == (16, 0) for g in report["generators"])
 
 
 def test_a_point_where_psi_raises_is_skipped_for_every_generator():

@@ -3,7 +3,9 @@
 The package keeps no ``assert``: ``python -O`` strips them, and every
 self-check of a certificate must still run there, so checks raise instead.
 No module but ``__init__.py`` imports a name it never uses, so a rewrite
-leaves no dangling import behind."""
+leaves no dangling import behind.  No module takes the members of
+``homeo._chart(...)`` by position, by subscript or by unpacking: they are
+named, so a new member cannot shift the others."""
 
 import ast
 from pathlib import Path
@@ -38,3 +40,18 @@ def test_every_imported_name_is_used(path):
             used.update(ast.literal_eval(node.value))  # a re-exported name counts as used
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def _is_chart_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_chart"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_chart_members_are_taken_by_name(path):
+    lines = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.Subscript, ast.Starred)) and _is_chart_call(node.value):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Assign) and _is_chart_call(node.value):
+            lines += [node.lineno for t in node.targets if isinstance(t, (ast.Tuple, ast.List))]
+    assert lines == [], f"{path.name} takes _chart members by position on lines {lines}"

@@ -1,7 +1,7 @@
-"""The orbit lift against the element trees it replaces.
+"""The lift against the element trees it replaces.
 
-``circlegroup._lift`` evaluates a group element (j, h) at a fixed point by the
-group law on one lift of the point.  An element the tree
+``circlegroup._lift`` builds a lifter that evaluates a group element (j, h) at
+a point by the group law on one lift of the point.  An element the tree
 ``eval_circle(element_expr(d, (j, h)), t0)`` refuses with an EvalError must
 raise the same error type.  Every other image must equal the tree's exactly
 when that is exact or when h = 0, and else lie within 2^-(bits - 8) of the
@@ -9,7 +9,10 @@ tree evaluated at 64 more bits (or at the working precision, where the finer
 tree raises at a breakpoint).  At the working precision the tree rounds its
 translation c0 + c1 alpha from a Surd value whose terms cancel when c0 is
 near -c1 alpha, as in the orbit draws, and is then off by up to about
-|c1| 2^-bits; the lift rounds c0 + c1 alpha once.
+|c1| 2^-bits; the lift rounds c0 + c1 alpha once.  At ranks 3 and 4 the lift
+entered from a chart point whose coordinate carries the wrap levels, as
+``verify`` hands over psi(x), must agree with the lift from the flat circle
+value within 2^-(bits - 8), and read those levels with no tan.
 
 Edge cases: a point at an arc midpoint, whose line coordinate is 0; a marked
 point, which every element carries exactly to a marked point; exact and
@@ -25,6 +28,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circleconj import homeo
 from circleconj.circlegroup import (
     CircleElement,
     CircleGroupDescriptor,
@@ -35,16 +39,25 @@ from circleconj.circlegroup import (
 )
 from circleconj.exactnum import Surd
 from circleconj.homeo import (
+    CircleExtend,
     CirclePoint,
     EvalError,
     Precision,
     PrecisionExhausted,
+    Translate,
+    _ChartPoint,
+    _chart,
+    _circle_point,
+    _compile,
+    _raw,
     circle_distance,
     eval_circle,
+    hbar_iter,
 )
 
 BASES = (Surd(-1, 1, 1, 2), Surd(-1, 1, 2, 5), Surd(-9, 1, 1, 94))
 BITS = (128, 256)
+TAN = homeo.mpf_tan
 
 
 def outcome(f):
@@ -55,8 +68,21 @@ def outcome(f):
         return type(exc)
 
 
+def raw(t0, p):
+    """The circle point t0 as the lifter takes it: a Fraction or an mpf tuple."""
+    return t0.t if t0.is_exact else _raw(t0.t._mpf_, p.working_bits)
+
+
+def images(d, t0, p, entry=None):
+    """image(j, h) of d's lifter at p, entered from t0 or from the chart point
+    entry, as a circle point: the image leaves the chart once."""
+    _, image = _lift(d, p)(raw(t0, p) if entry is None else entry)
+    out_of_chart = _chart(p.working_bits).out_of_chart
+    return lambda j, h: _circle_point(out_of_chart(image(j, h)))
+
+
 def assert_lift_matches_tree(d, t0, p, elements):
-    image = _lift(d, t0, p)
+    image = images(d, t0, p)
     finer = Precision(working_bits=p.working_bits + 64, singular_margin=p.singular_margin)
     for j, h in elements:
         e = element_expr(d, CircleElement(j, h))
@@ -98,6 +124,36 @@ def coords(draw, d):
     return (c0, c1) + tuple(draw(st.one_of(st.just(0), st.integers(-4, 4))) for _ in range(d.n - 2))
 
 
+def wrapped_chart_point(d, t0, p):
+    """t0's chart point with its coordinate carried as a wrap point down to the
+    deepest level, made by the compiler as psi's run makes psi(x); None where
+    that raises or t0 is a marked point."""
+    carry = _compile(CircleExtend(hbar_iter(Translate(0), d.n - 2), d.k), p, False)[0]
+    try:
+        point = carry(raw(t0, p))
+    except EvalError:
+        return None
+    return point if type(point) is _ChartPoint else None
+
+
+def assert_chart_entry_matches_flat_entry(d, t0, p, elements):
+    entry = wrapped_chart_point(d, t0, p)
+    if entry is None:
+        return
+    flat = images(d, t0, p)
+    tans = []
+    with pytest.MonkeyPatch.context() as patch:  # the descent reads the wrap levels with no tan
+        patch.setattr(homeo, "mpf_tan", lambda *args: tans.append(args) or TAN(*args))
+        from_chart = images(d, t0, p, entry)
+    assert tans == []
+    for j, h in elements:
+        expected = outcome(lambda: flat(j, h))
+        if isinstance(expected, type):  # the chart point is not margin-tested
+            continue
+        got = from_chart(j, h)
+        assert circle_distance(got, expected) <= mpmath.mpf(2) ** (8 - p.working_bits), (d, t0, j, h)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(st.data())
 def test_lift_matches_the_element_tree(data):
@@ -108,6 +164,8 @@ def test_lift_matches_the_element_tree(data):
     t0 = CirclePoint(t if extra is None else binary(t, bits + extra))
     elements = data.draw(st.lists(st.tuples(st.integers(0, d.k - 1), coords(d)), min_size=6, max_size=6))
     assert_lift_matches_tree(d, t0, Precision(working_bits=bits), elements)
+    if d.n >= 3:  # and entered from a chart point that carries the wrap levels
+        assert_chart_entry_matches_flat_entry(d, t0, Precision(working_bits=bits), elements)
 
 
 def some_elements(d):
@@ -134,7 +192,7 @@ def test_a_marked_point_goes_to_a_marked_point_exactly(n):
     p = Precision(working_bits=128)
     for i in range(d.k):
         t0 = CirclePoint(Fraction(i, d.k))
-        image = _lift(d, t0, p)
+        image = images(d, t0, p)
         for j, h in some_elements(d):
             assert image(j, h).t == Fraction((i + j) % d.k, d.k)
         assert_lift_matches_tree(d, t0, p, some_elements(d))
@@ -155,7 +213,7 @@ def test_a_marked_point_goes_to_a_marked_point_exactly(n):
 def test_a_point_too_close_to_a_marked_point_keeps_only_the_identity(t0, n):
     d = CircleGroupDescriptor(BASES[2], n, 3, (1,) + (0,) * (n - 1))
     p = Precision(working_bits=256)
-    image = _lift(d, t0, p)
+    image = images(d, t0, p)
     assert image(0, (0,) * n) == t0
     for j, h in some_elements(d)[1:]:
         with pytest.raises(PrecisionExhausted):
@@ -176,7 +234,7 @@ def test_a_guard_hit_skips_only_the_elements_reaching_below_it():
     d = CircleGroupDescriptor(BASES[0], 4, 1, (0, 1, 0, 0))
     p = Precision(working_bits=128)
     t0 = CirclePoint(binary(Fraction(int(t.man)) * Fraction(2) ** int(t.exp), 300))
-    image = _lift(d, t0, p)
+    image = images(d, t0, p)
     for h in ((0, 0, 0, 5), (0, 0, -3, 0), (0, 0, 2, 1)):
         assert isinstance(image(0, h), CirclePoint)
     for h in ((1, 0, 0, 0), (0, 1, 0, 0), (2, -1, 1, 1)):

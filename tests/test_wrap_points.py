@@ -29,6 +29,8 @@ from circleconj.homeo import (
     Precision,
     Scale,
     Translate,
+    _chart,
+    _raw,
     eval_circle,
     eval_line,
     hbar_iter,
@@ -104,8 +106,9 @@ def test_no_wrap_point_leaves_an_entry_point():
     turns = rotation_number(CanonicalF(3, line), 0.2, 5, p)
     assert type(turns._mpf_) is tuple
     d = CircleGroupDescriptor(SURDS[1], 4, 3, (1, 0, 0, 1))
-    for t0 in (0.2, Fraction(3, 10)):
-        image = _lift(d, CirclePoint(t0), p)
+    out_of_chart = _chart(128).out_of_chart
+    for t0 in (_raw(0.2, 128), Fraction(3, 10)):
+        _, image = _lift(d, p)(t0)  # an image stays in the chart, and leaves it flat
         for j, h in ((0, (1, 2, 0, 0)), (1, (0, 0, 1, -1)), (2, (3, -1, 2, 1))):
-            point = image(j, h).t
-            assert isinstance(point, Fraction) or type(point._mpf_) is tuple
+            point = out_of_chart(image(j, h))
+            assert isinstance(point, Fraction) or type(point) is tuple
