@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_int, mpf_add, mpf_mul
+from mpmath.libmp import from_int, mpf_add
 
 from .homeo import (
     CanonicalF,
@@ -43,6 +43,7 @@ from .homeo import (
     _compile,
     _fail,
     _raw,
+    _surd_mpf_cached,
     marked_point,
 )
 from .exactnum import Surd, json_int, json_ints, json_object
@@ -246,11 +247,12 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
     acts on a raw t as given, so it stays raw, or on the lifted chart point.
     Guard and margin hits raise as in eval_circle(element_expr(d, (j, h)), t,
     p) for the elements reaching the level hit, but a chart point is not
-    margin-tested.  Each f^j is compiled once, each c0 + c1 alpha rounded once."""
-    prec, k, n = p.working_bits, d.k, d.n
+    margin-tested.  Each f^j is compiled once.  Each c0 + c1 alpha, that is
+    (c0 c + c1 a + c1 b sqrt(d))/c for alpha = (a + b sqrt(d))/c, is rounded
+    once from those integers, by the rule and the cache of a Translate constant."""
+    prec, k, n, al = p.working_bits, d.k, d.n, d.alpha
     chart = _chart(prec)
-    alpha = _raw(d.alpha, prec + 64)  # c1 alpha exact from it, rounded once with c0 by shift
-    shift = lru_cache(None)(lambda c0, c1: mpf_add(mpf_mul(alpha, from_int(c1)), from_int(c0), prec, _RN))
+    shift = lambda c0, c1: _surd_mpf_cached(c0 * al.c + c1 * al.a, c1 * al.b, al.c, al.d, prec)
     cycle = lru_cache(None)(lambda j: _compile(Power(canonical_f(d), j), p, False)[0])  # j -> f^j
 
     def lift(t):
@@ -336,7 +338,7 @@ def orbit_sample(
     if not isinstance(t0, CirclePoint):
         t0 = CirclePoint(t0)
     rng = random.Random(seed)
-    alpha_f = float(d.alpha.value(53))
+    alpha_f = float(d.alpha)
     drift = d.g[0] + d.g[1] * alpha_f if d.n == 2 else float(d.g[-1])
     t0f = float(t0.approx(53)) * d.k
     arc0 = min(int(t0f), d.k - 1)

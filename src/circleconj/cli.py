@@ -91,12 +91,10 @@ def cmd_cf(args) -> int:
         T = stabilizer_generator(surd)
     except INPUT_ERRORS as exc:
         return _invalid(exc)
-    with mpmath.mp.workprec(args.precision_bits):
-        value = mpmath.nstr(surd.value(args.precision_bits), 30)
     _emit(
         {
             "surd": surd.to_json(),
-            "value": value,
+            "value": mpmath.nstr(surd.value(args.precision_bits), 30),
             "cf": cf.to_json(),
             "stabilizer_generator": T.to_json() if T is not None else None,
         },

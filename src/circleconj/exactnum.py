@@ -3,7 +3,8 @@
 Everything in this module is pure integer / rational arithmetic: surds in
 canonical form, continued-fraction expansion by the exact Gauss map,
 GL(2,Z)-equivalence of quadratic irrationals, and the fixed-point stabilizer
-generator used by the conjugacy decision procedure.
+generator used by the conjugacy decision procedure; and ``surd_mpf``, the
+package's one rounding of a surd (a + b*sqrt(d))/c to a binary float.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
+
+from mpmath import mp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_float
 
 
 class RationalInputError(ValueError):
@@ -53,19 +57,28 @@ def json_ints(values, name: str) -> tuple:
     return tuple(json_int(v, f"{name} entry") for v in values)
 
 
+@lru_cache(maxsize=1024)  # the Gauss map builds a Surd per step, all over one d
 def is_square_free(d: int) -> bool:
-    if d <= 0:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
+    return d > 0 and all(d % (f * f) for f in range(2, isqrt(d) + 1))
 
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def surd_mpf(a: int, b: int, c: int, d: int, bits: int) -> tuple:
+    """(a + b*sqrt(d))/c, for c > 0 and d > 1 square-free when b != 0, rounded
+    once to nearest at ``bits``, as a raw mpf tuple.  As a^2 - b^2 d is a nonzero
+    integer, |a + b sqrt d| > 1/(|a| + |b| sqrt d + 1) however the terms cancel,
+    so N = floor(value 2^s), from one isqrt and one floor division, has at least
+    bits + 2 bits.  The value lies strictly inside (N, N + 1), never exact and
+    never a tie, and that interval holds no rounding boundary: N + 1/2 rounds
+    to the same float."""
+    if b == 0:
+        return from_rational(a, c, bits, round_nearest)
+    s = bits + 2 + c.bit_length() + (abs(a) + abs(b) * (isqrt(d) + 1) + 1).bit_length()
+    r = isqrt(b * b * d << 2 * s)  # floor(|b| sqrt(d) 2^s), never exact
+    return from_man_exp(2 * (((a << s) + (r if b > 0 else -r - 1)) // c) + 1, -s - 1, bits, round_nearest)
 
 
 @dataclass(frozen=True)
@@ -180,11 +193,9 @@ class Surd:
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        norm = self.a * self.a - self.b * self.b * self.d
+        norm = self.a * self.a - self.b * self.b * self.d  # 0 only at a = b = 0, as b*b*d is no square
         if norm == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("division by zero surd")
-            raise ValueError("degenerate surd (norm zero)")
+            raise ZeroDivisionError("division by zero surd")
         return Surd(self.c * self.a, -self.c * self.b, norm, self.d)
 
     def __truediv__(self, other) -> "Surd":
@@ -241,15 +252,11 @@ class Surd:
     # -- numeric conversion -------------------------------------------------------
 
     def value(self, bits: int = 256):
-        """The value as an mpmath float computed at the given precision."""
-        import mpmath
-
-        with mpmath.mp.workprec(bits):
-            root = mpmath.sqrt(self.d) if self.b else mpmath.mpf(0)
-            return (self.a + self.b * root) / self.c
+        """The value as an mpmath float, rounded once to nearest at ``bits``."""
+        return mp.make_mpf(surd_mpf(self.a, self.b, self.c, self.d, bits))
 
     def __float__(self) -> float:
-        return float(self.value(64))
+        return to_float(surd_mpf(self.a, self.b, self.c, self.d, 53))
 
     # -- serialization --------------------------------------------------------------
 
@@ -502,7 +509,7 @@ class AlphaProfile:
                 cycle = MappingProxyType({state: i for state, i in seen.items() if i >= start})
                 return cls(x, tuple(quotients), start, cycle)
             seen[cur] = len(quotients)
-        raise RuntimeError("Gauss map failed to cycle (not reachable for quadratic surds)")
+        raise RuntimeError(f"Gauss map did not cycle within its cap of {_MAX_GAUSS_STEPS} steps")
 
     def prefix(self, i: int) -> UnimodularMatrix2:
         """Product of the quotient matrices of ``quotients[:i]``: it carries

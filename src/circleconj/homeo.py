@@ -49,7 +49,7 @@ from mpmath.libmp import (
     mpf_sub, mpf_tan, mpf_pos, round_nearest, to_int, to_str,
 )
 
-from .exactnum import Surd, json_int, json_object
+from .exactnum import Surd, json_int, json_object, surd_mpf
 
 
 class EvalError(Exception):
@@ -84,9 +84,6 @@ DEFAULT_PRECISION = Precision()
 
 class HomeoExpr:
     """Base class for expression nodes; subclasses are frozen dataclasses."""
-
-    def to_json(self):
-        return expr_to_json(self)
 
 
 @dataclass(frozen=True)
@@ -267,9 +264,8 @@ _RN = round_nearest
 _POWER_CAP = 64
 
 
-@lru_cache(maxsize=4096)
-def _surd_mpf_cached(s: Surd, bits: int):
-    return s.value(bits)
+#: the one cache of rounded surd constants, keyed by (a, b, c, d, bits)
+_surd_mpf_cached = lru_cache(maxsize=4096)(surd_mpf)
 
 
 def _raw(x, prec: int):
@@ -277,7 +273,7 @@ def _raw(x, prec: int):
     if type(x) is tuple:
         return mpf_pos(x, prec, _RN)
     if isinstance(x, Surd):
-        return _surd_mpf_cached(x, prec)._mpf_
+        return _surd_mpf_cached(x.a, x.b, x.c, x.d, prec)
     if isinstance(x, Fraction):
         return mpf_div(from_int(x.numerator, prec, _RN), from_int(x.denominator), prec, _RN)
     return mpmath.mpf(x, prec=prec)._mpf_

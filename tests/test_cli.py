@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,17 @@ def test_unexpected_fault_exit4(capsys, tmp_path):
     assert err == "internal error: RuntimeError: stabilizer cycle did not close\n"
 
 
+def test_gauss_map_cap_exit4(capsys):
+    # the continued fraction of sqrt(10**10 + 19) runs past the Gauss map's
+    # cap; the radicand's square-free test is cached, so the walk gets there fast
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cf", "--surd", "a=0,b=1,c=1,d=10000000019")
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: Gauss map did not cycle within its cap of 100000 steps\n"
+
+
 # -- orbit exit codes over generated flags --------------------------------------------
 
 BITS = (64, 128, 256)
@@ -482,6 +494,49 @@ def test_orbit_exit_codes_over_generated_flags(orbit_files, data):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["csv"] == str(csv)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+
+
+# -- cf exit codes over generated fields ----------------------------------------------
+
+
+@st.composite
+def surd_texts(draw):
+    """--surd text whose fields may be missing, duplicated or unknown, whose
+    values may be no integers, with c = 0, radicands up to 10**6 that are not
+    square-free or not positive, and rational surds (b = 0 or d = 1)."""
+    values = {
+        "a": st.integers(-1000, 1000),
+        "b": st.one_of(st.integers(1, 60), st.integers(-60, 60)),
+        "c": st.one_of(st.integers(1, 30), st.integers(-30, 30)),
+        "d": st.one_of(st.integers(2, 10**6), st.sampled_from((-2, 0, 1, 4, 12, 94, 10**6))),
+    }
+    junk = st.sampled_from(("1.5", "x", "", "1e3", "--1", "0x1f"))
+    rare = st.sampled_from((False,) * 9 + (True,))  # one time in ten
+    keys = [key for key in "abcd" if not draw(rare)]  # a missing field
+    if draw(rare):
+        keys.append(draw(st.sampled_from("abcdq")))  # a duplicate or unknown field
+    parts = []
+    for key in keys:
+        value = draw(junk) if draw(rare) else draw(values.get(key, st.integers(0, 9)))
+        parts.append(f"{key}={value}")
+    return ",".join(parts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(surd=surd_texts(), bits=st.one_of(st.sampled_from(BITS), st.integers(-8, 320)))
+def test_cf_exit_codes_over_generated_fields(surd, bits):
+    argv = ["cf", f"--surd={surd}", f"--precision-bits={bits}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["cf"]["period"]
     else:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

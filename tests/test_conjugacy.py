@@ -189,6 +189,14 @@ def test_decide_matches_oracle_on_small_sweep():
             continue
         d1, d2 = D(ROOT2M1, n, k, g1), D(ROOT2M1, n, k, g2)
         assert decide(d1, d2).verdict == decide_oracle(d1, d2), (n, k, g1, g2)
+    # rank 4, where the oracle also fills the upper cell of B: every ordered
+    # pair of eight vectors per base and k, 576 pairs
+    for alpha in (ROOT2M1, GOLDEN, Surd(-9, 1, 1, 94)):
+        for k in (2, 3, 4):
+            gs = [g for g in product(range(-1, 2), repeat=4) if validate_g(g, k)[0]]
+            family = [D(alpha, 4, k, g) for g in rng.sample(gs, 8)]
+            for d1, d2 in product(family, repeat=2):
+                assert decide(d1, d2).verdict == decide_oracle(d1, d2), (alpha, k, d1.g, d2.g)
     # the invariant and base-point steps settle these before any enumeration
     nq = NonQuadraticAlpha((0, 2, 1, 1, 3, 5))
     assert decide_oracle(D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 3, 2, (1, 0, 0))) == "not_conjugate"

@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "43fe1b91ca1ce9c2f015a9952b9c75dd63079b37296edcf7da73fe46bea33021"
+PINNED = "17c2de384897b423475b0562a5e40c7c8e59f89eb17c56a7f051beedf34a63f9"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)

@@ -4,7 +4,10 @@ from math import floor
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_float
 
+from circleconj.circlegroup import CircleGroupDescriptor, _lift
 from circleconj.exactnum import (
     ContinuedFraction,
     MixedRadicandError,
@@ -18,7 +21,9 @@ from circleconj.exactnum import (
     mobius_apply,
     sign_normalize,
     stabilizer_generator,
+    surd_mpf,
 )
+from circleconj.homeo import Precision
 from support import bounded_fixers, bounded_mobius_maps, signed_power_exponent
 
 SQRT2 = Surd.sqrt(2)
@@ -75,6 +80,8 @@ def test_non_square_free_radicand_rejected():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         Surd(1, 1, 0, 2)
+    with pytest.raises(ZeroDivisionError):  # the only surd of norm zero
+        Surd(0).inverse()
 
 
 def test_equality_and_hashing():
@@ -155,6 +162,42 @@ def test_value_precision_tracks_bits():
         err256 = abs(SQRT2.value(256) ** 2 - 2)
         assert err256 < err64
         assert err256 < mpmath.mpf(2) ** -250
+
+
+def ulp_error(raw, x: Surd, bits: int):
+    """|raw - x| in units of the last place of raw at ``bits``, against x at 200 more bits."""
+    sign, man, exp, bc = raw
+    with mpmath.mp.workprec(bits + 200):
+        exact = (x.a + x.b * mpmath.sqrt(x.d)) / x.c
+        return abs(mpmath.mp.make_mpf(raw) - exact) / mpmath.ldexp(1, exp + bc - bits)
+
+
+def lifted_translation(alpha: Surd, c0: int, c1: int, bits: int):
+    """c0 + c1 alpha as the lifter adds it: the chart coordinate 0 of the arc
+    midpoint 1/2 at rank 2 and k = 1, moved by (c0, c1)."""
+    _, image = _lift(CircleGroupDescriptor(alpha, 2, 1, (1, 0)), Precision(working_bits=bits))(Fraction(1, 2))
+    return image(0, (c0, c1)).x
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    st.sampled_from((SQRT2_M1, GOLDEN_CONJ, Surd(-9, 1, 1, 94))),
+    st.one_of(st.just(0), st.integers(-4096, 4096)),
+    st.integers(-2, 2),
+    st.sampled_from((64, 128, 256)),
+)
+def test_constants_round_once_to_nearest(alpha, c1, near, bits):
+    # c0 within 2 of -c1 alpha: c0 and c1 alpha cancel; c1 = 0 is a rational
+    c0 = near + round(-c1 * float(alpha))
+    x = Surd(c0) + alpha * c1
+    raws = [surd_mpf(x.a, x.b, x.c, x.d, bits), x.value(bits)._mpf_]
+    if c0 or c1:  # the identity moves nothing
+        raws.append(lifted_translation(alpha, c0, c1, bits))
+    for raw in raws:
+        assert ulp_error(raw, x, bits) <= 0.5, (x, bits)
+    assert ulp_error(from_float(float(x)), x, 53) <= 0.5
+    q = Surd(c0 + c1, 0, 3)  # b = 0 with a denominator
+    assert ulp_error(surd_mpf(q.a, q.b, q.c, q.d, bits), q, bits) <= 0.5
 
 
 def test_surd_json_round_trip():

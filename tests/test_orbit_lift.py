@@ -3,13 +3,17 @@
 ``circlegroup._lift`` builds a lifter that evaluates a group element (j, h) at
 a point by the group law on one lift of the point.  An element the tree
 ``eval_circle(element_expr(d, (j, h)), t0)`` refuses with an EvalError must
-raise the same error type.  Every other image must equal the tree's exactly
-when that is exact or when h = 0, and else lie within 2^-(bits - 8) of the
-tree evaluated at 64 more bits (or at the working precision, where the finer
-tree raises at a breakpoint).  At the working precision the tree rounds its
-translation c0 + c1 alpha from a Surd value whose terms cancel when c0 is
-near -c1 alpha, as in the orbit draws, and is then off by up to about
-|c1| 2^-bits; the lift rounds c0 + c1 alpha once.  At ranks 3 and 4 the lift
+raise the same error type.  Every other image must equal the tree's bit for
+bit wherever the two make the same libmp calls: at rank 2, and at ranks 3
+and 4 for every element that moves no wrap level above the deepest (h_i = 0
+for i >= 2).  Both round c0 + c1 alpha once from its integers, by
+``exactnum.surd_mpf``.  The one remaining case is an element with an
+integer coordinate h_i != 0, i >= 2, at rank 3 or 4: the tree adds h_i to
+the flat coordinate of its level, rounding it, before it splits that level,
+while the lift adds h_i to the level's floor exactly.  Its image must be
+exact where the tree's is, and else lie within 2^-(bits - 8) of the tree
+evaluated at 64 more bits (or at the working precision, where the finer tree
+raises at a breakpoint).  At ranks 3 and 4 the lift
 entered from a chart point whose coordinate carries the wrap levels, as
 ``verify`` hands over psi(x), must agree with the lift from the flat circle
 value within 2^-(bits - 8), and read those levels with no tan.
@@ -93,8 +97,8 @@ def assert_lift_matches_tree(d, t0, p, elements):
             continue
         assert isinstance(lifted, CirclePoint), (d, t0, j, h, lifted)
         assert lifted.is_exact == tree.is_exact
-        if not any(h):  # f^j alone: the same compiled map at the same rounded point
-            assert lifted == tree, (d, t0, j)
+        if not any(h[2:]):  # the same libmp calls: no wrap level above the deepest moves
+            assert lifted == tree, (d, t0, j, h)
         elif tree.is_exact:
             assert lifted.t == tree.t
         else:

@@ -15,9 +15,9 @@ A second sha256 covers the same reports with every ``max_deviation``
 removed: the verdicts and the evaluated and skipped counts.  A change that
 moves only the rounding of the deviations, such as composing circle maps in
 chart coordinates or wrapped maps in wrap coordinates, measuring two points
-of one arc with one arctan, or evaluating g and g' by the group law on the
-lifts of x and psi(x), which rounds each c0 + c1 alpha once, leaves it
-unchanged.
+of one arc with one arctan, evaluating g and g' by the group law on the
+lifts of x and psi(x), or rounding every surd constant once from its
+integers, leaves it unchanged.
 """
 
 import copy
@@ -31,7 +31,7 @@ from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, wi
 from circleconj.exactnum import Surd
 from circleconj.homeo import CanonicalF, Power, Precision, Scale
 
-PINNED = "d26f6fd8be3b5698b9517c7b225f8264e0902df07bee17693d4d220d707e4e45"
+PINNED = "e5d57c910d626cf7995d296c54d3ce316c95394b20f4649bdb6786e8f42532cd"
 PINNED_WITHOUT_DEVIATIONS = "13d67bdcb8078ce78a824d3d9e86d03adf65d5b2a7227c7bb3bf66a9df066e72"
 
 BITS = (128, 256)
