@@ -43,10 +43,9 @@ from .homeo import (
     _compile,
     _fail,
     _raw,
-    _surd_mpf_cached,
     marked_point,
 )
-from .exactnum import Surd, json_int, json_ints, json_object
+from .exactnum import Surd, json_int, json_ints, json_object, surd_mpf
 from .lineargroup import LineGroupDescriptor, alpha_from_json, element_to_expr
 
 
@@ -249,10 +248,12 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
     p) for the elements reaching the level hit, but a chart point is not
     margin-tested.  Each f^j is compiled once.  Each c0 + c1 alpha, that is
     (c0 c + c1 a + c1 b sqrt(d))/c for alpha = (a + b sqrt(d))/c, is rounded
-    once from those integers, by the rule and the cache of a Translate constant."""
+    once per lifter from those integers, by the rule of a Translate constant
+    (exactnum.surd_mpf), into the lifter's own memo, so the draws of an orbit
+    do not churn the evaluator's cache."""
     prec, k, n, al = p.working_bits, d.k, d.n, d.alpha
     chart = _chart(prec)
-    shift = lambda c0, c1: _surd_mpf_cached(c0 * al.c + c1 * al.a, c1 * al.b, al.c, al.d, prec)
+    shift = lru_cache(None)(lambda c0, c1: surd_mpf(c0 * al.c + c1 * al.a, c1 * al.b, al.c, al.d, prec))
     cycle = lru_cache(None)(lambda j: _compile(Power(canonical_f(d), j), p, False)[0])  # j -> f^j
 
     def lift(t):

@@ -466,12 +466,13 @@ def verify_conjugation(
     random grid that keeps twice the trust margin from the marked points j/k,
     where g and g' break and the only breakpoints psi may have (checked once
     per call), and measured by circle distance, in the chart when both sides
-    end on one arc; draws that still hit a precision guard are skipped and
-    counted.  Only psi is compiled: every g and g' is evaluated on one lift of
-    each grid point x in d1 and one of psi(x) in d2 (circlegroup._lift).  The
-    report is JSON-ready.  Other breakpoints raise ValueError, and so do a
-    tol that is not finite and positive and a trust margin of 1/(4k) or more,
-    which leaves no grid point.
+    end on one arc, from their difference carried up the wrap levels they
+    share where it is below 2^(40 - working_bits) (homeo._chart); draws that
+    still hit a precision guard are skipped and counted.  Only psi is
+    compiled: every g and g' is evaluated on one lift of each grid point x in
+    d1 and one of psi(x) in d2 (circlegroup._lift).  The report is JSON-ready.
+    Other breakpoints raise ValueError, and so do a tol that is not finite and
+    positive and a trust margin of 1/(4k) or more, which leaves no grid point.
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be finite and positive")
@@ -496,8 +497,8 @@ def verify_conjugation(
         "ok": True,
     }
     # x enters the arc chart once, and its lift and the lift of psi(x) are
-    # shared by every g and g'; each side leaves each wrap level once, and the
-    # two sides leave the chart together, with one atan when they share an arc
+    # shared by every g and g'; two sides on one arc are measured in the chart,
+    # with no atan for a residue when they share their wrap floors
     chart, lift1, lift2 = _chart(p.working_bits), _lift(d1, p), _lift(d2, p)
     psi_run, marks = _compile(psi, p, False)
     if not marks | {d2.k} <= {d1.k}:  # psi and g' break only where the grid keeps the trust margin

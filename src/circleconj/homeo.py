@@ -23,7 +23,10 @@ are bit-identical to evaluating with mpf objects.  It follows an error model:
   (1/k, 2/k) at the line coordinate x of that arc's chart, and it leaves the
   chart once at the end, so a composition makes no tan/arctan round trip
   between its nodes, and two chart points of one arc are compared in the
-  chart, with one arctan;
+  chart: by their difference carried up from the deepest level where their
+  wrap points share floors, else with one arctan, and an arctan of x below
+  2^(-working_bits/2 - 2) is x, to which it rounds, so near-equal sides of a
+  comparison cost no arctan;
 * wrapped maps compose in wrap coordinates in the same way: a point inside a
   wrap level travels as a wrap point (i, y), its floor i and the coordinate
   y one level down, and it leaves each level once, at the first map that
@@ -36,6 +39,7 @@ invariance tests rely on.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -46,7 +50,7 @@ import mpmath
 from mpmath.libmp import (
     fhalf, fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_atan, mpf_div,
     mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift,
-    mpf_sub, mpf_tan, mpf_pos, round_nearest, to_int, to_str,
+    mpf_sub, mpf_tan, mpf_pos, round_nearest, to_float, to_int, to_str,
 )
 
 from .exactnum import Surd, json_int, json_object, surd_mpf
@@ -275,7 +279,7 @@ def _raw(x, prec: int):
     if isinstance(x, Surd):
         return _surd_mpf_cached(x.a, x.b, x.c, x.d, prec)
     if isinstance(x, Fraction):
-        return mpf_div(from_int(x.numerator, prec, _RN), from_int(x.denominator), prec, _RN)
+        return from_rational(x.numerator, x.denominator, prec, _RN)
     return mpmath.mpf(x, prec=prec)._mpf_
 
 
@@ -355,6 +359,8 @@ def _chart(prec: int) -> _Chart:
     closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
     offset = lru_cache(maxsize=4096)(lambda r, k: mpf_div(from_int(r), from_int(k), prec, _RN))
+    pi_k = lru_cache(maxsize=None)(lambda k: mpf_mul_int(pi, k, prec, _RN))  # k takes few values
+    linear, cut = mpf_shift(fone, -(prec // 2) - 2), mpf_shift(fone, 40 - prec)
 
     def guard(frac) -> None:
         eps = _edge(frac, prec)
@@ -436,22 +442,67 @@ def _chart(prec: int) -> _Chart:
         v = chart_from_line(t.x, t.k)
         return rotate(v, t.r, t.k) if t.r else v
 
+    def arctan(x):
+        """mpf_atan(x, prec), which rounds to x itself where |x| < 2^(-prec/2 - 2):
+        there the cubic term of the series lies below a quarter ulp of x."""
+        return x if mpf_lt(mpf_abs(x), linear) else mpf_atan(x, prec, _RN)
+
+    def approx(x) -> float:
+        """The flat value of a raw point or a wrap point in math floats, inf past their range."""
+        if type(x) is not _WrapPoint:
+            return to_float(x)
+        return to_float(x.i) + 0.5 + math.atan(approx(x.y)) / math.pi
+
+    def carried(x, y, k):
+        """The distance of two chart points of one arc of k at the wrap points x
+        and y, or None.  Their coordinates below the floors they share are
+        subtracted once, and the difference D is carried up each shared level
+        and out of the chart as D <- atan(D / (1 + z_a z_b)) / pi (pi k at the
+        chart), z_a and z_b the flat coordinates of the level left.  The factor
+        comes from math floats, to a few 2^-53 relative, so the result is kept
+        only below 2^(40 - prec), where 2^-40 relative is below 2^-prec, and only
+        where every factor is finite and at least 1, so that none cancels."""
+        floors = []  # the shared floors as floats plus 1/2, outermost first
+        while type(x) is type(y) is _WrapPoint and x.i == y.i:
+            floors.append(to_float(x.i) + 0.5)
+            x, y = x.y, y.y
+        if not floors:
+            return None
+        za, zb, factors = approx(x), approx(y), []  # the factors deepest first, the chart's last
+        for i in reversed(floors):
+            factors.append(1 + za * zb)
+            za, zb = i + math.atan(za) / math.pi, i + math.atan(zb) / math.pi
+        factors.append(1 + za * zb)
+        if not all(1 <= f < math.inf for f in factors):
+            return None
+        d = mpf_sub(flat(x), flat(y), prec, _RN)
+        for level, f in enumerate(factors):
+            scale = pi if level < len(floors) else pi_k(k)
+            d = mpf_div(arctan(mpf_div(d, from_float(f), prec, _RN)), scale, prec, _RN)
+        d = mpf_abs(d)
+        return d if mpf_lt(d, cut) else None
+
     def distance(a, b):
         """The shorter arc between two circle values as an mpf.  Two chart points
-        of one arc, at flat coordinates A and B, lie |atan A - atan B|/(pi k)
+        of one arc whose wrap points share floors are measured by carried; any
+        other two, at flat coordinates A and B, lie |atan A - atan B|/(pi k)
         apart: |atan((A - B)/(1 + AB))|, or pi less it past a negative
         denominator, so one atan; at k = 1 the shorter arc is taken.  Any other
         pair leaves the chart first."""
         if not (type(a) is type(b) is _ChartPoint and a.r == b.r and a.k == b.k):
             return _raw_distance(out_of_chart(a), out_of_chart(b), prec)
-        k, A, B = a.k, flat(a.x), flat(b.x)
+        k = a.k
+        d = carried(a.x, b.x, k)
+        if d is not None:
+            return mpmath.mp.make_mpf(d)
+        A, B = flat(a.x), flat(b.x)
         den = mpf_add(fone, mpf_mul(A, B), prec, _RN)  # the product exact, rounded once with 1
         if mpf_eq(den, fzero):  # the arc lengths differ by exactly a half arc
             return mpmath.mp.make_mpf(from_rational(1, 2 * k, prec, _RN))
-        angle = mpf_abs(mpf_atan(mpf_div(mpf_sub(A, B, prec, _RN), den, prec, _RN), prec, _RN))
+        angle = mpf_abs(arctan(mpf_div(mpf_sub(A, B, prec, _RN), den, prec, _RN)))
         if mpf_lt(den, fzero):
             angle = mpf_sub(pi, angle, prec, _RN)
-        d = mpf_div(angle, mpf_mul_int(pi, k, prec, _RN), prec, _RN)
+        d = mpf_div(angle, pi_k(k), prec, _RN)
         return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
 
     return _Chart(split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,

@@ -9,12 +9,14 @@ power and a bar extension, so only the node-by-node reference leaves the
 chart between every two circle nodes.  ``verify`` enters the chart once per
 grid point, and its lift of the point enters the wrap level at rank 3 once
 per grid point too; psi(x) arrives inside that level, where the lift of
-psi(x) reads it with no tan.  Each g and g' acts on those lifts, each side
-of a comparison leaves the wrap level once, and the two sides on one arc
-leave the chart with one arctan, which the trig-count test holds by counting
-the tan and arctan calls, not by timing.  That one-arctan distance must
-agree with the two sides leaving the chart one at a time; the chart's
-members are taken by name.
+psi(x) reads it with no tan.  Each g and g' acts on those lifts.  Two sides
+on one arc that share their wrap floors are measured by their difference,
+carried up from the deepest level, and a true witness leaves it so small
+that no arctan is computed; the trig-count test holds this by counting the
+tan and arctan calls, not by timing.  The chart distance must agree with
+the two sides leaving the chart one at a time, and near-equal sides must
+come out within 2^-40 relative of a reference at three times the
+precision; the chart's members are taken by name.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import from_float, from_int, from_rational
+from mpmath.libmp import from_float, from_int, from_man_exp, from_rational, mpf_add, mpf_shift
 
 from circleconj import homeo
 from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, element_expr, validate_g
@@ -103,26 +105,25 @@ GRID = 48
 
 
 def test_verify_enters_the_chart_once_per_point_and_leaves_it_once_per_side(monkeypatch):
-    calls = [0]
+    calls = {}
 
-    def counted(fn):
+    def counted(name, fn):
         def counting(*args):
-            calls[0] += 1
+            calls[name] += 1
             return fn(*args)
 
         return counting
 
     for name in ("mpf_tan", "mpf_atan"):
-        monkeypatch.setattr(homeo, name, counted(getattr(homeo, name)))
+        monkeypatch.setattr(homeo, name, counted(name, getattr(homeo, name)))
     for seed, (d1, d2, wit) in enumerate(conjugate_pairs()):
-        calls[0] = 0
+        calls.update(mpf_tan=0, mpf_atan=0)
         report = verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, grid_size=GRID, seed=seed)
         assert report["ok"], report
-        if d1.n == 2:  # one tan into the chart, one arctan out per generator
-            assert calls[0] <= (1 + (d1.n + 1)) * GRID, (d1, calls[0])
-        else:  # and at rank 3 one tan into the wrap level, shared by psi and every
-            # generator, and one arctan out of it per side and generator
-            assert calls[0] <= (2 + 3 * (d1.n + 1)) * GRID, (d1, calls[0])
+        # one tan into the chart, and at rank 3 one into the wrap level, shared
+        # by psi and every generator; a true witness leaves sides so close that
+        # every arctan of their difference is its argument
+        assert calls == {"mpf_tan": (d1.n - 1) * GRID, "mpf_atan": 0}, (d1, calls)
 
 
 @st.composite
@@ -149,6 +150,49 @@ def test_the_chart_distance_agrees_with_leaving_the_chart_side_by_side(pair, bit
     reference = _raw_distance(chart.out_of_chart(a), chart.out_of_chart(b), bits)
     with mpmath.mp.workprec(2 * bits):
         assert abs(d - reference) <= mpmath.mpf(2) ** (8 - bits), (pair, d, reference)
+
+
+@st.composite
+def near_chart_point_pairs(draw):
+    """(a, b, bits, shared): two chart points of one arc of k in {1, 2, 3, 6}
+    arcs at wrap depth 0, 1 or 2, whose deepest coordinates lie 0 to 2^60 ulps
+    apart at bits in {128, 256}.  Mostly their floors agree and the deepest
+    coordinates lie in the range of math floats (shared); else the floors
+    differ at one level, or the deepest coordinates lie past 2^1100."""
+    bits, k, depth = draw(st.sampled_from((128, 256))), draw(st.sampled_from((1, 2, 3, 6))), draw(st.integers(0, 2))
+    case = draw(st.sampled_from(("shared", "shared", "huge") + (("floors",) if depth else ())))
+    e = draw(st.integers(1100, 1150) if case == "huge" else st.integers(-20, 40))  # 2^e <= |y| < 2^(e+1)
+    y = mpf_shift(from_float(draw(st.sampled_from((-1, 1))) * draw(st.floats(1, 2, exclude_max=True))), e)
+    ulps = lambda m: from_man_exp(m, e + 1 - bits)
+    ya = mpf_add(y, ulps(draw(st.integers(0, 2**60))), bits, _RN)  # every bit of the mantissa in use
+    yb = mpf_add(ya, ulps(draw(st.integers(-(2**60), 2**60))), bits, _RN)
+    floors = [draw(st.integers(-3, 3)) for _ in range(depth)]
+    moved = list(floors)
+    if case == "floors":
+        moved[draw(st.integers(0, depth - 1))] += draw(st.sampled_from((-1, 1)))
+    r, points = draw(st.integers(0, k - 1)), []
+    for x, levels in ((ya, floors), (yb, moved)):
+        for i in reversed(levels):
+            x = _WrapPoint(from_int(i), x)
+        points.append(_ChartPoint(r, x, k))
+    return (*points, bits, case == "shared")
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(near_chart_point_pairs())
+def test_near_equal_chart_points_are_measured_to_their_distance(pair):
+    # a reference at 3 x bits; where floors agree in float range and the
+    # result is below 2^(40 - bits), the difference carried up the shared
+    # levels also holds it to 2^-40 relative, not to a rounding residue
+    a, b, bits, shared = pair
+    d = _chart(bits).distance(a, b)
+    chart = _chart(3 * bits)
+    reference = _raw_distance(chart.out_of_chart(a), chart.out_of_chart(b), 3 * bits)
+    with mpmath.mp.workprec(3 * bits):
+        error = abs(d - reference)
+        assert error <= mpmath.mpf(2) ** (8 - bits), (pair, d, reference)
+        if shared and d < mpmath.mpf(2) ** (40 - bits):
+            assert error <= reference * mpmath.mpf(2) ** -40, (pair, d, reference)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import to_rational
 
 from circleconj.exactnum import Surd
 from circleconj.homeo import (
@@ -81,6 +83,19 @@ def affine_callable(e):
 
 
 # ------------------------------------------------------------ line evaluation
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=True), st.sampled_from((64, 128, 256)))
+def test_a_wide_fraction_input_rounds_once_to_nearest(rng, bits):
+    # a 300-bit numerator over a 40-bit denominator is rounded once, not
+    # first to the working precision and then again by the division
+    x = Fraction(rng.choice((-1, 1)) * rng.randrange(2**299, 2**300), rng.randrange(2**39, 2**40))
+    value = eval_line(Identity(), x, Precision(working_bits=bits))
+    e = x.numerator.bit_length() - x.denominator.bit_length()  # 2^(e-1) < |x| < 2^(e+1)
+    e += abs(x) >= Fraction(2) ** e  # now 2^(e-1) <= |x| < 2^e
+    error = abs(Fraction(*to_rational(value._mpf_)) - x)
+    assert error <= Fraction(2) ** (e - bits - 1), (x, bits)
 
 
 def test_base_map_at_zero_is_exactly_half():
