@@ -40,8 +40,8 @@ from .homeo import (
     _chart,
     _check_margin,
     _circle_point,
-    _compile,
     _fail,
+    _marked_index,
     _raw,
     marked_point,
 )
@@ -235,75 +235,78 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
     """The lifter of d at p.  lift(t), for a raw circle value t (a Fraction or
     an mpf tuple) or a chart point, lifts t once under the compiler's guards:
     its arc and chart coordinate x, and at each of the n - 2 wrap levels the
-    floor of x and the next x, read off a wrap point with no tan or split off
-    a raw x as h^-1(x - floor), down to the deepest level or to an integer x,
-    which every deeper coordinate fixes.  It returns t's chart point, each
-    level above another as its wrap point (t itself off the charts), and
-    image(j, h): t's image under (j, h) in the chart, by the group law on the
-    lift.  An element adds c0 + c1 alpha at the deepest level, or its integer
-    coordinate at the deepest level it reaches, as a compiled Translate does,
-    moves each floor above by its coordinate and applies f^j; with h = 0, f^j
-    acts on a raw t as given, so it stays raw, or on the lifted chart point.
-    Guard and margin hits raise as in eval_circle(element_expr(d, (j, h)), t,
-    p) for the elements reaching the level hit, but a chart point is not
-    margin-tested.  Each f^j is compiled once.  Each c0 + c1 alpha, that is
-    (c0 c + c1 a + c1 b sqrt(d))/c for alpha = (a + b sqrt(d))/c, is rounded
-    once per lifter from those integers, by the rule of a Translate constant
-    (exactnum.surd_mpf), into the lifter's own memo, so the draws of an orbit
-    do not churn the evaluator's cache."""
+    int floor of x and the next x, read off a wrap point with no tan or split
+    off a raw x as h^-1(x - floor), down to the deepest level or to an
+    integer x, which every deeper coordinate fixes.  It returns t's chart
+    point, each level above another as its wrap point (t itself off the
+    charts), and image(j, h): t's image under (j, h) by the group law on the
+    lift, compiling nothing.  h moves each floor by its coordinate and adds
+    c0 + c1 alpha at the deepest level, or its integer coordinate at an
+    integer x, as a compiled Translate does; then f^j takes the arc r to
+    (r + j) mod k, and its c = (r + j) // k passes through the closing arc
+    move the lift by c g, as a step of its own.  A raw t that f^j alone
+    rotates rigidly stays raw, and exact on a Fraction.  Guard and margin hits
+    raise as in eval_circle(element_expr(d, (j, h)), t, p) for the elements
+    reaching the level hit; a chart point is not margin-tested.  Each
+    c0 + c1 alpha = (c0 c + c1 a + c1 b sqrt(d))/c, alpha = (a + b sqrt(d))/c,
+    is rounded once per lifter from those integers by exactnum.surd_mpf, the
+    rule of a Translate constant, into the lifter's own memo, so the draws of
+    an orbit do not churn the evaluator's cache."""
     prec, k, n, al = p.working_bits, d.k, d.n, d.alpha
     chart = _chart(prec)
     shift = lru_cache(None)(lambda c0, c1: surd_mpf(c0 * al.c + c1 * al.a, c1 * al.b, al.c, al.d, prec))
-    cycle = lru_cache(None)(lambda j: _compile(Power(canonical_f(d), j), p, False)[0])  # j -> f^j
+
+    def at(arc: int, floors, x):
+        """The chart point of the arc whose coordinate is x under the floors."""
+        for i in reversed(floors):
+            x = _WrapPoint(i, x)
+        return _ChartPoint(arc, x, k)
 
     def lift(t):
-        margin = blocked = None  # raisers: for every element but the identity; below levels[-1]
-        point, floors, levels = None, [], []  # t's chart point; the floors read or split off; each level
+        margin = blocked = None  # raisers: for every element but the identity; below the last level
+        r = point = None  # t's arc counted from arc 1 (None for a marked point), and its chart point
+        floors = []  # the floors read or split off, outermost first
         if type(t) is tuple:  # an inexact circle value
             try:
                 _check_margin(t, (k,), p, False)
             except EvalError as exc:
                 margin = _fail(type(exc), str(exc))
         try:
+            if type(t) is not _ChartPoint and _marked_index(t, k) is None:
+                r = (chart.arc_floor(t, k) - 1) % k
             point = chart.into_chart(t, k)
             if point is not None:
-                x = point.x  # each wrap level read off a wrap point, or split off a raw x with a tan
+                r, x = point.r, point.x  # each level read off a wrap point, or split off a raw x with a tan
                 while len(floors) < n - 2 and (parts := x if type(x) is _WrapPoint else chart.split(x)):
                     x = parts[1] if type(x) is _WrapPoint else chart.h_inv(parts[1])
                     floors.append(parts[0])
         except EvalError as exc:
             blocked = _fail(type(exc), str(exc))
-        if point is not None:
-            levels = [x]
-            for i in reversed(floors):
-                levels.insert(0, _WrapPoint(i, levels[0]))
-            point = _ChartPoint(point.r, levels[0], k) if floors else point
-        source = point if type(t) is _ChartPoint else t
+        if floors:
+            point = at(r, floors, x)
+
+        def move(floors, x, coords):
+            """(floors, x) moved by the line element coords, level i < n - 2 by coords[n - 1 - i]."""
+            level = len(floors)  # x's level: n - 2, or above it at an integer x or a blocked split
+            if level < n - 2 and blocked and any(coords[:n - 1 - level]):
+                blocked(t)
+            if level == n - 2 and (coords[0] or coords[1]):
+                x = mpf_add(chart.flat(x), shift(coords[0], coords[1]), prec, _RN)
+            elif level < n - 2 and coords[n - 1 - level]:  # at an integer x
+                x = mpf_add(x, from_int(coords[n - 1 - level]), prec, _RN)
+            return [i + coords[n - 1 - above] for above, i in enumerate(floors)], x
 
         def image(j: int, coords):
             moved = any(coords)
             if margin and (j or moved):
                 margin(t)
-            w = source
-            if moved:
-                # level of coordinate i >= 2 is n - 1 - i; c0 + c1 alpha acts at level n - 2
-                depth = n - 2 if coords[0] or coords[1] else next(n - 1 - i for i in range(2, n) if coords[i])
-                if depth >= len(levels):
-                    if blocked:
-                        blocked(t)
-                    depth = len(levels) - 1  # an integer there, or -1 for a marked point
-                if depth >= 0:
-                    x = levels[depth]
-                    if depth < n - 2 and type(x) is _WrapPoint:  # an integer moves the floor
-                        x = _WrapPoint(mpf_add(x.i, from_int(coords[n - 1 - depth]), prec, _RN), x.y)
-                    else:
-                        a = shift(coords[0], coords[1]) if depth == n - 2 else from_int(coords[n - 1 - depth])
-                        x = mpf_add(chart.flat(x), a, prec, _RN)
-                    for level in range(depth - 1, -1, -1):  # each floor above moves by its coordinate
-                        i, c = levels[level].i, coords[n - 1 - level]
-                        x = _WrapPoint(mpf_add(i, from_int(c), prec, _RN) if c else i, x)
-                    w = _ChartPoint(point.r, x, k)
-            return cycle(j)(w) if j else w
+            c, arc = (j, 0) if r is None else divmod(r + j, k)  # c passes; with no arc, any j != 0 counts
+            if point is None or not (moved or c or type(t) is _ChartPoint):  # off the charts, or f^j rigid
+                if blocked and (moved or c):
+                    blocked(t)
+                return chart.rotate(t, j, k) if j else t
+            state = move(floors, x, coords)
+            return at(arc, *(move(*state, [c * v for v in d.g]) if c else state))
 
         return (t if point is None else point), image
 

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -209,7 +210,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """main's parser, built once: each parse fills a fresh namespace of its own."""
     parser = _Parser(
         prog="circleconj",
         description="conjugacy engine for integer-lattice circle homeomorphism groups",

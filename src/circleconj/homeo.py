@@ -20,17 +20,17 @@ are bit-identical to evaluating with mpf objects.  It follows an error model:
   CircleExtend; any other power repeats e, at most 64 times;
 * circle maps compose in chart coordinates: between circle nodes a point
   travels as a chart point (r, x), r rotations by 1/k past the arc
-  (1/k, 2/k) at the line coordinate x of that arc's chart, and it leaves the
-  chart once at the end, so a composition makes no tan/arctan round trip
-  between its nodes, and two chart points of one arc are compared in the
+  (1/k, 2/k) at the line coordinate x of that arc's chart, which every node
+  enters at t - r/k and the point leaves once at the end, so a composition
+  makes no tan/arctan round trip between its nodes, and two chart points of one arc are compared in the
   chart: by their difference carried up from the deepest level where their
   wrap points share floors, else with one arctan, and an arctan of x below
   2^(-working_bits/2 - 2) is x, to which it rounds, so near-equal sides of a
   comparison cost no arctan;
 * wrapped maps compose in wrap coordinates in the same way: a point inside a
-  wrap level travels as a wrap point (i, y), its floor i and the coordinate
-  y one level down, and it leaves each level once, at the first map that
-  needs its flat value, so no round trip and no guard lies between them.
+  wrap level travels as a wrap point (i, y), its int floor i and the
+  coordinate y one level down, and it leaves each level once, at the first
+  map that needs its flat value, so no round trip and no guard lies between them.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -340,15 +340,14 @@ class _ChartPoint(NamedTuple):
 
 
 class _WrapPoint(NamedTuple):
-    """The line point i + h(y) off the integers: its floor i (an mpf tuple) and
-    the coordinate y one wrap level down (an mpf tuple or a wrap point)."""
+    """The line point i + h(y) off the integers: its floor i (an int) and the
+    coordinate y one wrap level down (an mpf tuple or a wrap point)."""
 
-    i: tuple
+    i: int
     y: tuple
 
 
-_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc_floor chart_to_line chart_from_line "
-                               "distance into_chart out_of_chart")
+_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc_floor distance into_chart out_of_chart")
 
 
 @lru_cache(maxsize=16)
@@ -370,13 +369,13 @@ def _chart(prec: int) -> _Chart:
             )
 
     def split(x):
-        """(floor, fractional part) of x, the part guarded; None for an integer x."""
+        """(floor as an int, fractional part) of x, the part guarded; None for an integer x."""
         i = mpf_floor(x, prec, _RN)
         frac = mpf_sub(x, i, prec, _RN)
         if mpf_eq(frac, fzero):
             return None
         guard(frac)
-        return i, frac
+        return to_int(i), frac
 
     def h(x):
         return mpf_add(fhalf, mpf_div(mpf_atan(x, prec, _RN), pi, prec, _RN), prec, _RN)
@@ -390,10 +389,10 @@ def _chart(prec: int) -> _Chart:
 
     def flat(x):
         """A wrap point as the raw line point i + h(y), one level at a time
-        from the deepest; a raw point as it is."""
+        from the deepest, each int floor converted once; a raw point as it is."""
         if type(x) is not _WrapPoint:
             return x
-        return mpf_add(h(flat(x.y)), x.i, prec, _RN)
+        return mpf_add(h(flat(x.y)), from_int(x.i), prec, _RN)
 
     def rotate(t, r: int, k: int):
         """t + r/k mod 1, exact on Fractions; r/k is rounded once per (r, k)."""
@@ -451,7 +450,7 @@ def _chart(prec: int) -> _Chart:
         """The flat value of a raw point or a wrap point in math floats, inf past their range."""
         if type(x) is not _WrapPoint:
             return to_float(x)
-        return to_float(x.i) + 0.5 + math.atan(approx(x.y)) / math.pi
+        return to_float(from_int(x.i)) + 0.5 + math.atan(approx(x.y)) / math.pi
 
     def carried(x, y, k):
         """The distance of two chart points of one arc of k at the wrap points x
@@ -464,7 +463,7 @@ def _chart(prec: int) -> _Chart:
         where every factor is finite and at least 1, so that none cancels."""
         floors = []  # the shared floors as floats plus 1/2, outermost first
         while type(x) is type(y) is _WrapPoint and x.i == y.i:
-            floors.append(to_float(x.i) + 0.5)
+            floors.append(to_float(from_int(x.i)) + 0.5)  # inf past the float range
             x, y = x.y, y.y
         if not floors:
             return None
@@ -505,8 +504,7 @@ def _chart(prec: int) -> _Chart:
         d = mpf_div(angle, pi_k(k), prec, _RN)
         return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
 
-    return _Chart(split, h, h_inv, flat, rotate, arc_floor, chart_to_line, chart_from_line,
-                  distance, into_chart, out_of_chart)
+    return _Chart(split, h, h_inv, flat, rotate, arc_floor, distance, into_chart, out_of_chart)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
@@ -516,15 +514,15 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
     Staircase on the line, k for a CanonicalF or a CircleExtend on the circle,
     also where a shortcut skips compiling the node and inside a zero or
     over-cap power.  A line run takes and returns an mpf tuple or a wrap point
-    (i, y): an HbarWrap splits a raw point once into (floor, h^-1(fraction))
-    and maps (i, y) to (i, inner(y)), a Staircase takes its step from i, an
-    integer Translate adds to i, and every other node flattens the point to
-    i + h(y) first, with _chart's flat.  A circle run takes and returns a
-    circle value (a Fraction or an mpf tuple) or a chart point (r, x), whose x
-    may be a wrap point: a CircleExtend enters the chart once and maps (r, x)
-    to (r, arc(r)(x)); a CanonicalF power e^m maps (r, x) to ((r + m) mod k,
-    gtilde^c(x)) with c = (r + m) // k, and a circle value by a rigid rotation
-    and a pass through the closing arc's chart.  Callers leave the wrap levels
+    (i, y), i an int: an HbarWrap splits a raw point once into (floor,
+    h^-1(fraction)) and maps (i, y) to (i, inner(y)), a Staircase takes its
+    step from i, an integer Translate adds to i, and every other node
+    flattens the point to i + h(y) first, with _chart's flat.  A circle run
+    takes and returns a circle value (a Fraction or an mpf tuple) or a chart
+    point (r, x), whose x may be a wrap point: a CircleExtend enters the
+    chart once and maps (r, x) to (r, arc(r)(x)); a CanonicalF power e^m maps
+    (r, x) to ((r + m) mod k, gtilde^c(x)) with c = (r + m) // k, and enters
+    the chart so from a circle value that passes the closing arc.  Callers leave the wrap levels
     with flat, or the chart with out_of_chart, once.  Inside, build(e, m,
     line) compiles e^m.  A staircase, a cycle map or a twisted extension
     compiles the powers of its line map on first use, an untwisted extension
@@ -556,7 +554,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         if kind is Translate:
             a = _raw(e.a if m == 1 else e.a * m, prec)  # m a exact, rounded once
             if e.a.b == 0 and e.a.c == 1:  # an integer moves a wrap point's floor
-                return lambda x: (_WrapPoint(mpf_add(x.i, a, prec, _RN), x.y) if type(x) is _WrapPoint
+                n = e.a.a * m
+                return lambda x: (_WrapPoint(x.i + n, x.y) if type(x) is _WrapPoint
                                   else mpf_add(x, a, prec, _RN))
             return lambda x: mpf_add(flat(x), a, prec, _RN)
         if kind is Scale:
@@ -582,7 +581,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
 
             def stairs(x):
                 parts = x if type(x) is _WrapPoint else split(x)  # the floor is parts[0] either way
-                return x if parts is None else step(int(to_int(parts[0])))(x)
+                return x if parts is None else step(parts[0])(x)
 
             return stairs
         if kind is CanonicalF:
@@ -590,20 +589,14 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             gtilde = lru_cache(maxsize=None)(lambda c: build(e.gtilde, c, True))  # c -> gtilde^c
 
             def cycle(t):
-                if type(t) is _ChartPoint and t.k == k:
-                    c, r = divmod(t.r + m, k)  # c signed passes from arc 0 into arc 1
-                    return _ChartPoint(r, gtilde(c)(t.x), k)
-                t = chart.out_of_chart(t)
-                jm = _marked_index(t, k)
-                if jm is not None:
-                    return Fraction((jm + m) % k, k)
-                s = (chart.arc_floor(t, k) - 1) % k  # arcs from arc 1 on, arc 0 last
-                c = (s + m) // k  # signed passes from arc 0 into arc 1
-                if rigid or c == 0:
-                    return rotate(t, m, k)
-                before = k - s if m > 0 else -s  # steps of 1/k up to a pass into arc 1, or out of it
-                v = chart.chart_from_line(gtilde(c)(chart.chart_to_line(rotate(t, before, k), k)), k)
-                return rotate(v, m - before, k)
+                if type(t) is not _ChartPoint or t.k != k:
+                    t = chart.out_of_chart(t)
+                    marked = _marked_index(t, k) is not None  # rotates exactly
+                    if marked or ((chart.arc_floor(t, k) - 1) % k + m) // k == 0 or rigid:  # from arc 1 on
+                        return rotate(t, m, k)  # t does not pass the closing arc
+                    t = into_chart(t, k)
+                c, r = divmod(t.r + m, k)  # c signed passes from arc 0 into arc 1
+                return _ChartPoint(r, gtilde(c)(t.x), k)
 
             return cycle
         k = e.k

@@ -133,7 +133,7 @@ def chart_point_pairs(draw):
 
     def coordinate():
         x = from_float(draw(st.one_of(st.floats(-8, 8), st.floats(-1e12, 1e12))))
-        return _WrapPoint(from_int(draw(st.integers(-3, 3))), x) if draw(st.booleans()) else x
+        return _WrapPoint(draw(st.integers(-3, 3)), x) if draw(st.booleans()) else x
 
     k = draw(st.sampled_from((1, 2, 3, 6)))
     r = draw(st.integers(0, k - 1))
@@ -173,7 +173,7 @@ def near_chart_point_pairs(draw):
     r, points = draw(st.integers(0, k - 1)), []
     for x, levels in ((ya, floors), (yb, moved)):
         for i in reversed(levels):
-            x = _WrapPoint(from_int(i), x)
+            x = _WrapPoint(i, x)
         points.append(_ChartPoint(r, x, k))
     return (*points, bits, case == "shared")
 
@@ -199,7 +199,7 @@ def test_near_equal_chart_points_are_measured_to_their_distance(pair):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_the_chart_distance_at_its_exact_cases(k, bits):
     distance = _chart(bits).distance
-    x, w = from_int(2), _WrapPoint(from_int(1), from_float(0.3))
+    x, w = from_int(2), _WrapPoint(1, from_float(0.3))
     # 1 + AB = 0 exactly: a half arc apart, with no division by the zero denominator
     half = distance(_ChartPoint(1 % k, x, k), _ChartPoint(1 % k, from_rational(-1, 2, bits, _RN), k))
     assert half == mpmath.mp.make_mpf(from_rational(1, 2 * k, bits, _RN))

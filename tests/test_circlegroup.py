@@ -8,6 +8,7 @@ from circleconj.circlegroup import (
     CircleElement,
     CircleGroupDescriptor,
     OrbitSample,
+    _lift,
     bar_extend,
     canonical_f,
     compose_elements,
@@ -29,6 +30,7 @@ from circleconj.homeo import (
     Identity,
     Power,
     Precision,
+    PrecisionExhausted,
     circle_distance,
     eval_circle,
     rotation_number,
@@ -269,3 +271,20 @@ def test_orbit_outputs():
     svg = orbit_svg(sample, d.k)
     assert svg.startswith("<svg")
     assert svg.count('stroke="#d62728"') == 3
+
+
+def test_the_lift_rotates_an_exact_point_inside_the_headroom_where_the_tree_does():
+    # 10^-30 from a marked point lies inside the 2^-64 headroom of 128 bits:
+    # the chart cannot take the point, but a power of f that keeps it off the
+    # closing arc rotates it exactly, in the lift as in the element tree
+    d, p = CircleGroupDescriptor(Surd(-1, 1, 1, 2), 3, 3, (1, 0, 1)), Precision(working_bits=128)
+    t = Fraction(1, 3) + Fraction(1, 10**30)  # on arc 1: f and f^2 do not pass the closing arc
+    _, image = _lift(d, p)(t)
+    for j in (1, 2):
+        tree = eval_circle(element_expr(d, CircleElement(j, (0, 0, 0))), t, p)
+        assert image(j, (0, 0, 0)) == tree.t == (t + Fraction(j, 3)) % 1
+    for j, h in ((0, (1, 0, 0)), (1, (0, 0, 1))):
+        with pytest.raises(PrecisionExhausted):
+            image(j, h)
+        with pytest.raises(PrecisionExhausted):
+            eval_circle(element_expr(d, CircleElement(j, h)), t, p)

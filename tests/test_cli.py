@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -219,6 +220,23 @@ def test_verify_conjugate_pair(capsys, tmp_path):
     blob = json.loads(out)
     assert blob["report"]["ok"]
     assert json.loads(out_path.read_text()) == blob
+
+
+def test_main_builds_its_parser_once_and_parses_each_call_afresh(capsys, monkeypatch):
+    pair = (str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json"))
+    code, out, _ = run(capsys, "verify", *pair, "--seed", "5", "--grid", "7")
+    assert code == 0
+    first = json.loads(out)
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw)
+    )
+    code, out, _ = run(capsys, "verify", *pair)
+    assert code == 0
+    assert built == []  # neither the parser nor a subparser is built again
+    second = json.loads(out)
+    assert (first["seed"], first["report"]["grid_size"]) == (5, 7)
+    assert (second["seed"], second["report"]["grid_size"]) == (0, 48)  # the defaults, not the last flags
 
 
 def test_verify_corrupted_witness_fails(capsys):

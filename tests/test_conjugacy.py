@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from circleconj import circlegroup, conjugacy, homeo
-from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, canonical_f, validate_g
+from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, orbit_sample, validate_g
 from circleconj.conjugacy import (
     ConjugacyWitness,
     StructuredMatrix,
@@ -491,18 +491,20 @@ def test_verification_compiles_each_map_once(monkeypatch, n, k, g1, g2):
         compiled.append(e)
         return compile_tree(e, p, line)
 
-    for module in (homeo, conjugacy, circlegroup):  # which import the helper by name
+    for module in (homeo, conjugacy):  # which import the helper by name
         monkeypatch.setattr(module, "_compile", counting)
-    # g and g' are evaluated on lifts, whose lifters (one for d1, one for d2)
-    # compile each cycle-map power f^j at most once
-    cycle_powers = [Power(canonical_f(d), j) for d in (d1, d2) for j in range(1, k)]
+    assert not hasattr(circlegroup, "_compile")  # the lifter applies f^j by the group law
+    # g and g' are evaluated on lifts (one lifter for d1, one for d2), which compile nothing
     for grid_size in (4, 16):
         compiled.clear()
         report = verify_conjugation(psi, d1, d2, wit, grid_size=grid_size, p=P)
         assert report["ok"], report
-        assert compiled.count(psi) == 1
-        rest = [e for e in compiled if e != psi]
-        assert all(rest.count(e) <= cycle_powers.count(e) for e in rest), rest
+        assert compiled == [psi]
+    compiled.clear()
+    for d in (d1, d2):
+        sample = orbit_sample(d, CirclePoint(Fraction(2, 7)), 60, seed=n, p=P)
+        assert len(sample.points) + sample.skipped == 61
+    assert compiled == []
 
 
 @pytest.mark.parametrize("n, k, g", [(2, 1, (1, 1)), (2, 3, (1, 0)), (3, 2, (1, 0, 2)), (4, 3, (0, 1, 0, 1))])

@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "17c2de384897b423475b0562a5e40c7c8e59f89eb17c56a7f051beedf34a63f9"
+PINNED = "b3a521fedad4deb68021c60e2e27aeb551bf77590dc82eca14b5b00dc5fdf169"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)

@@ -1,19 +1,24 @@
 """The lift against the element trees it replaces.
 
 ``circlegroup._lift`` builds a lifter that evaluates a group element (j, h) at
-a point by the group law on one lift of the point.  An element the tree
+a point by the group law on one lift of the point, compiling no tree: h
+moves the lift, and f^j advances its arc and moves it by c g for its c
+passes through the closing arc.  An element the tree
 ``eval_circle(element_expr(d, (j, h)), t0)`` refuses with an EvalError must
 raise the same error type.  Every other image must equal the tree's bit for
 bit wherever the two make the same libmp calls: at rank 2, and at ranks 3
 and 4 for every element that moves no wrap level above the deepest (h_i = 0
 for i >= 2).  Both round c0 + c1 alpha once from its integers, by
-``exactnum.surd_mpf``.  The one remaining case is an element with an
-integer coordinate h_i != 0, i >= 2, at rank 3 or 4: the tree adds h_i to
-the flat coordinate of its level, rounding it, before it splits that level,
-while the lift adds h_i to the level's floor exactly.  Its image must be
-exact where the tree's is, and else lie within 2^-(bits - 8) of the tree
-evaluated at 64 more bits (or at the working precision, where the finer tree
-raises at a breakpoint).  At ranks 3 and 4 the lift
+``exactnum.surd_mpf``.  The remaining case is an integer coordinate
+h_i != 0, i >= 2, at rank 3 or 4: the tree adds h_i to the flat coordinate
+of its level, rounding it, before it splits that level, while the lift adds
+h_i to the level's int floor exactly.  Its image must be exact where the
+tree's is, and else lie within 2^-(bits - 8) of the tree evaluated at 64
+more bits (or at the working precision, where the finer tree raises at a
+breakpoint).  The same holds for g_i, i >= 2, when h = 0 and f^j passes
+the closing arc: the tree's g then acts on the raw chart coordinate, and
+the two can differ in the last bit; the draws below reach that case only
+at marked points, where both are exact.  At ranks 3 and 4 the lift
 entered from a chart point whose coordinate carries the wrap levels, as
 ``verify`` hands over psi(x), must agree with the lift from the flat circle
 value within 2^-(bits - 8), and read those levels with no tan.
