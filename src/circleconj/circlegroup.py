@@ -231,6 +231,25 @@ def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u
     return (c0, c1) + middle + (int(round(target)),)
 
 
+def _float_lift(s: float, levels: int):
+    """(floors, y): the place s in (0, 1) of an arc lifted in math floats, its
+    chart coordinate x = tan(pi (s - 1/2)) split at up to ``levels`` wrap
+    levels into an int floor and the next x = tan(pi (x - floor - 1/2)), and
+    y the last x; an integer x, which deeper levels fix, is not split."""
+    x, floors = math.tan(math.pi * (s - 0.5)), []
+    while len(floors) < levels and (i := math.floor(x)) != x:
+        floors.append(i)
+        x = math.tan(math.pi * (x - i - 0.5))
+    return floors, x
+
+
+def _chart_point(r: int, floors, x, k: int) -> _ChartPoint:
+    """The chart point of the arc r of k whose coordinate is x under the floors, outermost first."""
+    for i in reversed(floors):
+        x = _WrapPoint(i, x)
+    return _ChartPoint(r, x, k)
+
+
 def _lift(d: CircleGroupDescriptor, p: Precision):
     """The lifter of d at p.  lift(t), for a raw circle value t (a Fraction or
     an mpf tuple) or a chart point, lifts t once under the compiler's guards:
@@ -256,12 +275,6 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
     chart = _chart(prec)
     shift = lru_cache(None)(lambda c0, c1: surd_mpf(c0 * al.c + c1 * al.a, c1 * al.b, al.c, al.d, prec))
 
-    def at(arc: int, floors, x):
-        """The chart point of the arc whose coordinate is x under the floors."""
-        for i in reversed(floors):
-            x = _WrapPoint(i, x)
-        return _ChartPoint(arc, x, k)
-
     def lift(t):
         margin = blocked = None  # raisers: for every element but the identity; below the last level
         r = point = None  # t's arc counted from arc 1 (None for a marked point), and its chart point
@@ -283,7 +296,7 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
         except EvalError as exc:
             blocked = _fail(type(exc), str(exc))
         if floors:
-            point = at(r, floors, x)
+            point = _chart_point(r, floors, x, k)
 
         def move(floors, x, coords):
             """(floors, x) moved by the line element coords, level i < n - 2 by coords[n - 1 - i]."""
@@ -306,7 +319,7 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
                     blocked(t)
                 return chart.rotate(t, j, k) if j else t
             state = move(floors, x, coords)
-            return at(arc, *(move(*state, [c * v for v in d.g]) if c else state))
+            return _chart_point(arc, *(move(*state, [c * v for v in d.g]) if c else state), k)
 
         return (t if point is None else point), image
 

@@ -22,8 +22,9 @@ from functools import lru_cache
 from math import gcd, inf
 
 import mpmath
+from mpmath.libmp import from_float
 
-from .circlegroup import CircleElement, CircleGroupDescriptor, _lift
+from .circlegroup import CircleElement, CircleGroupDescriptor, _chart_point, _float_lift, _lift
 from .exactnum import (
     CertificateError,
     NonQuadraticAlpha,
@@ -450,6 +451,19 @@ def conjugation_images(d1, d2, wit: ConjugacyWitness) -> list:
     return pairs
 
 
+def _grid(d: CircleGroupDescriptor, draws, delta: float) -> list:
+    """One chart point of d's arcs per draw u in [0, 1), 2 delta or more from
+    the marked points: the exact arc j = floor(k u), and its place k u - j
+    scaled into [2 k delta, 1 - 2 k delta] and lifted by circlegroup._float_lift."""
+    low, grid = 2 * d.k * delta, []
+    for u in draws:
+        num, den = u.as_integer_ratio()
+        j, rest = divmod(d.k * num, den)
+        floors, y = _float_lift(low + (1 - 2 * low) * (rest / den), d.n - 2)
+        grid.append(_chart_point((j - 1) % d.k, floors, from_float(y), d.k))
+    return grid
+
+
 def verify_conjugation(
     psi: HomeoExpr,
     d1: CircleGroupDescriptor,
@@ -468,26 +482,21 @@ def verify_conjugation(
     per call), and measured by circle distance, in the chart when both sides
     end on one arc, from their difference carried up the wrap levels they
     share where it is below 2^(40 - working_bits) (homeo._chart); draws that
-    still hit a precision guard are skipped and counted.  Only psi is
-    compiled: every g and g' is evaluated on one lift of each grid point x in
-    d1 and one of psi(x) in d2 (circlegroup._lift).  The report is JSON-ready.
-    Other breakpoints raise ValueError, and so do a tol that is not finite and
-    positive and a trust margin of 1/(4k) or more, which leaves no grid point.
+    still hit a precision guard are skipped and counted.  Each grid point is
+    drawn inside that window, from one random number, as a chart point lifted
+    in math floats (_grid): it costs no tan, at any margin below 1/(4k).  Only
+    psi is compiled: every g and g' is evaluated on one lift of each grid
+    point x in d1 and one of psi(x) in d2 (circlegroup._lift).  The report is
+    JSON-ready.  Other breakpoints raise ValueError, and so do a tol that is
+    not finite and positive and a trust margin of 1/(4k) or more, which
+    leaves no grid point.
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be finite and positive")
     if 4 * d1.k * p.singular_margin >= 1:
         raise ValueError(f"singular_margin must be below 1/(4k) = {1 / (4 * d1.k):g}")
     rng = random.Random(seed)
-    with mpmath.mp.workprec(p.working_bits):
-        margin = 2 * p.singular_margin
-        grid = []
-        while len(grid) < grid_size:
-            t = mpmath.mpf(rng.random())
-            kt = d1.k * t
-            frac = kt - mpmath.floor(kt)
-            if min(frac, 1 - frac) >= d1.k * margin:
-                grid.append(t._mpf_)
+    grid = _grid(d1, [rng.random() for _ in range(grid_size)], p.singular_margin)
     report = {
         "grid_size": grid_size,
         "tolerance": float(tol),
@@ -496,7 +505,7 @@ def verify_conjugation(
         "generators": [],
         "ok": True,
     }
-    # x enters the arc chart once, and its lift and the lift of psi(x) are
+    # x is drawn as a chart point, and its lift and the lift of psi(x) are
     # shared by every g and g'; two sides on one arc are measured in the chart,
     # with no atan for a residue when they share their wrap floors
     chart, lift1, lift2 = _chart(p.working_bits), _lift(d1, p), _lift(d2, p)
@@ -507,8 +516,8 @@ def verify_conjugation(
     checks = [(gen, image, []) for gen, image in conjugation_images(d1, d2, wit)]  # with deviations
     for x in grid:
         try:
-            point, image1 = lift1(chart.into_chart(x, d1.k))  # a chart point: the grid keeps off the j/k
-            _, image2 = lift2(psi_run(point))
+            _, image1 = lift1(x)
+            _, image2 = lift2(psi_run(x))
         except EvalError:
             continue  # every generator skips x
         for gen, image, deviations in checks:

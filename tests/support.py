@@ -2,15 +2,37 @@
 
 Nothing here reuses the continued-fraction machinery under test: matrices are
 found by exhausting two entries and solving the other two exactly over Q.
+``time_limit`` bounds the wall time of a call that must not hang.
 """
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from circleconj.exactnum import Surd, UnimodularMatrix2
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the test that runs the body once it runs past seconds, so that a
+    call that never returns fails instead of hanging the suite.  pytest.fail
+    raises a BaseException, which no `except Exception` in the body catches."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def bounded_mobius_maps(x: Surd, y: Surd, bound: int) -> set:

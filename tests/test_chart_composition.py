@@ -6,10 +6,11 @@ evaluating them one at a time, and with evaluating their circle nodes one at
 a time, up to the round trips that makes through the chart; marked points
 must stay exact.  An element tree is itself a composition of a cycle-map
 power and a bar extension, so only the node-by-node reference leaves the
-chart between every two circle nodes.  ``verify`` enters the chart once per
-grid point, and its lift of the point enters the wrap level at rank 3 once
-per grid point too; psi(x) arrives inside that level, where the lift of
-psi(x) reads it with no tan.  Each g and g' acts on those lifts.  Two sides
+chart between every two circle nodes.  ``verify`` draws each grid point as
+a chart point already split into its wrap levels, in math floats, so it
+makes no tan to enter the chart or a wrap level; psi(x) arrives inside those
+levels, where the lift of psi(x) reads it with no tan.  Each g and g' acts on
+those lifts.  Two sides
 on one arc that share their wrap floors are measured by their difference,
 carried up from the deepest level, and a true witness leaves it so small
 that no arctan is computed; the trig-count test holds this by counting the
@@ -120,10 +121,11 @@ def test_verify_enters_the_chart_once_per_point_and_leaves_it_once_per_side(monk
         calls.update(mpf_tan=0, mpf_atan=0)
         report = verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, grid_size=GRID, seed=seed)
         assert report["ok"], report
-        # one tan into the chart, and at rank 3 one into the wrap level, shared
-        # by psi and every generator; a true witness leaves sides so close that
-        # every arctan of their difference is its argument
-        assert calls == {"mpf_tan": (d1.n - 1) * GRID, "mpf_atan": 0}, (d1, calls)
+        # no tan: each grid point is drawn as a chart point, split into its
+        # wrap levels in math floats, and shared by psi and every generator; a
+        # true witness leaves sides so close that every arctan of their
+        # difference is its argument
+        assert calls == {"mpf_tan": 0, "mpf_atan": 0}, (d1, calls)
 
 
 @st.composite

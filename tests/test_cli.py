@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from circleconj import conjugacy
 from circleconj.cli import main
+from support import time_limit
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -314,6 +316,20 @@ def test_verify_at_128_bits(capsys):
     assert json.loads(out)["report"]["ok"]
 
 
+def test_verify_at_a_delta_just_below_a_quarter_arc(capsys):
+    # k = 2: the window that keeps the margin is 8e-8 of each arc wide, and
+    # every draw is placed inside it, so the grid costs --grid draws
+    with time_limit(20):
+        code, out, _ = run(
+            capsys, "verify", str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json"),
+            "--delta=0.12499999",
+        )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["ok"] and report["trust_margin"] == 0.12499999
+    assert all((g["evaluated"], g["skipped"]) == (48, 0) for g in report["generators"])
+
+
 @pytest.mark.parametrize("flag", [("--precision-bits", "32"), ("--delta", "0")])
 @pytest.mark.parametrize(
     "command",
@@ -558,3 +574,61 @@ def test_cf_exit_codes_over_generated_fields(surd, bits):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+
+
+# -- verify exit codes over generated flags -------------------------------------------
+
+
+def mostly(usual, rare):
+    """usual, and rare one time in five."""
+    return st.sampled_from((False,) * 4 + (True,)).flatmap(lambda odd: rare if odd else usual)
+
+
+def delta_texts(k: int):
+    """--delta: margins below 1/(4k), some just below it, and rarely 0,
+    negative, nan, inf, 1/(4k) itself, just above it, or any float."""
+    edge = 1 / (4 * k)
+    below = st.one_of(
+        st.floats(1e-9, edge, exclude_max=True), st.sampled_from((edge * (1 - 1e-9), math.nextafter(edge, 0)))
+    )
+    odd = (0.0, -0.0, -1e-4, -1e16, math.nan, math.inf, -math.inf, edge, math.nextafter(edge, 1), edge * (1 + 1e-9))
+    return mostly(below, st.one_of(st.sampled_from(odd), st.floats())).map(repr)
+
+
+@pytest.fixture(scope="module")
+def verify_files(tmp_path_factory):
+    """(d1, d2, k of d1) for a conjugate pair at k = 2, a group against itself at
+    k = 3, a rank-3 pair against itself at k = 6, and a pair of unequal k."""
+    rank3 = tmp_path_factory.mktemp("verify-exit-codes") / "rank3.json"
+    rank3.write_text(json.dumps({"alpha": ROOT2, "n": 3, "k": 6, "g": [1, 0, 2]}))
+    a, b, golden = (str(SAMPLES / name) for name in ("root2_k2_a.json", "root2_k2_b.json", "golden_k3.json"))
+    return ((a, b, 2), (golden, golden, 3), (str(rank3), str(rank3), 6), (a, golden, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_verify_exit_codes_over_generated_flags(verify_files, data):
+    d1, d2, k = data.draw(st.sampled_from(verify_files))
+    # --flag=value, so that argparse takes a value like -1e+16 as the value
+    argv = [
+        "verify", d1, d2,
+        f"--grid={data.draw(st.integers(1, 6))}",
+        f"--delta={data.draw(delta_texts(k))}",
+        f"--tol={data.draw(mostly(st.floats(1e-80, 1), st.floats()))!r}",
+        f"--precision-bits={data.draw(st.integers(60, 300))}",
+        f"--seed={data.draw(st.integers(0, 2**32))}",
+    ] + (["--corrupt-witness"] if data.draw(st.booleans()) else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), time_limit(60):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+    else:
+        blob = json.loads(out.getvalue())
+        assert (blob["report"] is None) == (code == 3), argv
+        if blob["report"] is not None:
+            assert blob["report"]["ok"] == (code == 0), argv

@@ -45,6 +45,8 @@ from circleconj.homeo import (
     eval_circle,
 )
 from circleconj.intmat import mat_vec
+from support import time_limit
+from test_verify_pin import conjugate_pairs
 
 ROOT2M1 = Surd(-1, 1, 1, 2)
 GOLDEN = Surd(-1, 1, 2, 5)
@@ -453,6 +455,17 @@ def test_verification_rejects_a_margin_that_leaves_no_grid():
     # psi moves inside the wide margin, are evaluated as they are
     report = verify_conjugation(psi, d1, d2, wit, grid_size=16, p=Precision(singular_margin=0.12))
     assert report["ok"] and all(g["skipped"] == 0 for g in report["generators"])
+
+
+def test_verification_at_a_margin_just_below_a_quarter_arc_evaluates_every_point():
+    # the window that keeps the margin is 4e-11 of each arc wide, and every
+    # draw is placed inside it, so the grid costs grid_size draws
+    p = Precision(singular_margin=1 / 24 - 1e-12)
+    for d1, d2, wit in (pair for pair in conjugate_pairs() if pair[0].k == 6):  # at ranks 2 and 3
+        with time_limit(20):
+            report = verify_conjugation(witness_to_homeo(d1, d2, wit), d1, d2, wit, grid_size=48, p=p)
+        assert report["ok"], report
+        assert all((g["evaluated"], g["skipped"]) == (48, 0) for g in report["generators"])
 
 
 def test_verification_rejects_a_psi_with_other_breakpoints():

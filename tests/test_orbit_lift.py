@@ -8,17 +8,17 @@ passes through the closing arc.  An element the tree
 raise the same error type.  Every other image must equal the tree's bit for
 bit wherever the two make the same libmp calls: at rank 2, and at ranks 3
 and 4 for every element that moves no wrap level above the deepest (h_i = 0
-for i >= 2).  Both round c0 + c1 alpha once from its integers, by
-``exactnum.surd_mpf``.  The remaining case is an integer coordinate
+for i >= 2, and g_i = 0 for i >= 2 where h = 0 and f^j passes the closing
+arc).  Both round c0 + c1 alpha once from its integers, by
+``exactnum.surd_mpf``.  The remaining cases are an integer coordinate
 h_i != 0, i >= 2, at rank 3 or 4: the tree adds h_i to the flat coordinate
 of its level, rounding it, before it splits that level, while the lift adds
-h_i to the level's int floor exactly.  Its image must be exact where the
-tree's is, and else lie within 2^-(bits - 8) of the tree evaluated at 64
-more bits (or at the working precision, where the finer tree raises at a
-breakpoint).  The same holds for g_i, i >= 2, when h = 0 and f^j passes
-the closing arc: the tree's g then acts on the raw chart coordinate, and
-the two can differ in the last bit; the draws below reach that case only
-at marked points, where both are exact.  At ranks 3 and 4 the lift
+h_i to the level's int floor exactly; and g_i != 0, i >= 2, where h = 0 and
+f^j passes the closing arc, where the tree's g acts on the raw chart
+coordinate in the same way.  Their images must be exact where the tree's
+are, and else lie within 2^-(bits - 8) of the tree evaluated at 64 more bits
+(or at the working precision, where the finer tree raises at a breakpoint).
+At ranks 3 and 4 the lift
 entered from a chart point whose coordinate carries the wrap levels, as
 ``verify`` hands over psi(x), must agree with the lift from the flat circle
 value within 2^-(bits - 8), and read those levels with no tan.
@@ -30,6 +30,7 @@ but the identity is refused; and a point whose level-1 coordinate lies beyond
 the headroom, where only the elements reaching below that level are refused.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -58,6 +59,7 @@ from circleconj.homeo import (
     _chart,
     _circle_point,
     _compile,
+    _fraction,
     _raw,
     circle_distance,
     eval_circle,
@@ -90,6 +92,18 @@ def images(d, t0, p, entry=None):
     return lambda j, h: _circle_point(out_of_chart(image(j, h)))
 
 
+def passes(d, t0, j) -> bool:
+    """Whether f^j carries t0 through the closing arc: t0's arc, counted from arc 1, plus j reaches k."""
+    return (math.floor(_fraction(t0.t) * d.k) - 1) % d.k + j >= d.k
+
+
+def same_calls(d, t0, j, h) -> bool:
+    """Whether lift and tree make the same libmp calls for (j, h) at t0: no
+    coordinate of h moves a wrap level above the deepest, and neither does
+    g, unless h = 0 leaves t0's chart coordinate raw for f^j to pass with."""
+    return not any(h[2:]) and (any(h) or not any(d.g[2:]) or not passes(d, t0, j))
+
+
 def assert_lift_matches_tree(d, t0, p, elements):
     image = images(d, t0, p)
     finer = Precision(working_bits=p.working_bits + 64, singular_margin=p.singular_margin)
@@ -102,7 +116,7 @@ def assert_lift_matches_tree(d, t0, p, elements):
             continue
         assert isinstance(lifted, CirclePoint), (d, t0, j, h, lifted)
         assert lifted.is_exact == tree.is_exact
-        if not any(h[2:]):  # the same libmp calls: no wrap level above the deepest moves
+        if same_calls(d, t0, j, h):
             assert lifted == tree, (d, t0, j, h)
         elif tree.is_exact:
             assert lifted.t == tree.t
@@ -193,6 +207,22 @@ def test_arc_midpoints_match_the_tree(n, bits):
         mid = Fraction(3 + 2 * r, 2 * d.k) % 1  # line coordinate 0
         for t0 in (CirclePoint(mid), CirclePoint(binary(mid, bits))):
             assert_lift_matches_tree(d, t0, p, some_elements(d))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("bits", BITS)
+def test_a_passing_cycle_power_moves_the_wrap_levels_by_g(n, bits):
+    # h = 0 with f^j through the closing arc and g_i != 0 for an i >= 2: the
+    # tree rounds where the lift moves an int floor, so they agree to rounding
+    d = CircleGroupDescriptor(BASES[1], n, 3, (1, 0) + (2,) * (n - 2))
+    p, zero = Precision(working_bits=bits), (0,) * n
+    reached = 0
+    for t in (Fraction(1, 10), Fraction(2, 5), Fraction(7, 9), Fraction(41, 400), Fraction(5, 6)):
+        for t0 in (CirclePoint(t), CirclePoint(binary(t, bits + 40))):
+            elements = [(j, zero) for j in range(d.k)]
+            reached += sum(not same_calls(d, t0, j, h) for j, h in elements)
+            assert_lift_matches_tree(d, t0, p, elements)
+    assert reached >= 10
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

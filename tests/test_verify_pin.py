@@ -17,8 +17,10 @@ moves only the rounding of the deviations, such as composing circle maps in
 chart coordinates or wrapped maps in wrap coordinates, measuring two points
 of one arc with one arctan, evaluating g and g' by the group law on the
 lifts of x and psi(x), rounding every surd constant once from its
-integers, or carrying the difference of two sides that share their wrap
-floors up from the deepest level, leaves it unchanged.
+integers, carrying the difference of two sides that share their wrap
+floors up from the deepest level, or drawing each grid point as a chart
+point inside the trust window from the same one random draw, so that it
+keeps its arc, leaves it unchanged.
 """
 
 import copy
@@ -32,7 +34,7 @@ from circleconj.conjugacy import corrupt_witness, decide, verify_conjugation, wi
 from circleconj.exactnum import Surd
 from circleconj.homeo import CanonicalF, Power, Precision, Scale
 
-PINNED = "2931804b3f5fef9238a4f7060be52ff48939d199f241c1c03ba1c50040e990ad"
+PINNED = "5db6082abf74a4d75bac4f1efacae0923e3242c4c9b3d701b117027257f46ba1"
 PINNED_WITHOUT_DEVIATIONS = "13d67bdcb8078ce78a824d3d9e86d03adf65d5b2a7227c7bb3bf66a9df066e72"
 
 BITS = (128, 256)
