@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import mpmath
 from mpmath.libmp import from_int, mpf_add
@@ -50,8 +51,8 @@ from .lineargroup import LineGroupDescriptor, alpha_from_json, element_to_expr
 
 
 def content(g) -> int:
-    """gcd of the coordinates (0 for the zero vector)."""
-    return math.gcd(*(int(v) for v in g)) if g else 0
+    """gcd of the integer coordinates, which math.gcd takes by operator.index (0 for the zero vector)."""
+    return math.gcd(*g)
 
 
 def validate_g(g, k: int):
@@ -61,7 +62,7 @@ def validate_g(g, k: int):
     particular the zero vector is rejected for every k > 1.
     """
     c = content(g)
-    d = math.gcd(c, int(k))
+    d = math.gcd(c, k)
     if d != 1:
         return False, (
             f"coordinate content {c} shares the factor {d} with the cycle length {k}; "
@@ -83,7 +84,8 @@ class CircleGroupDescriptor:
         LineGroupDescriptor(self.alpha, self.n)  # validates alpha and n
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("cycle length k must be an integer >= 1")
-        g = tuple(int(v) for v in self.g)
+        object.__setattr__(self, "k", index(self.k))  # True as 1
+        g = tuple(map(index, self.g))
         if len(g) != self.n:
             raise ValueError(f"expected {self.n} twist coordinates, got {len(g)}")
         ok, reason = validate_g(g, self.k)
@@ -130,10 +132,10 @@ class CircleElement:
     h: tuple
 
     def __post_init__(self) -> None:
-        h = tuple(int(x) for x in self.h)
         if not isinstance(self.j, int) or self.j < 0:
             raise ValueError("cycle power j must be a non-negative integer")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "j", index(self.j))  # a bool j as 0 or 1
+        object.__setattr__(self, "h", tuple(map(index, self.h)))
 
     def to_json(self) -> dict:
         return {"j": self.j, "h": list(self.h)}
@@ -393,8 +395,9 @@ def orbit_to_csv(sample: OrbitSample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def orbit_svg(sample: OrbitSample, k: int, size: int = 420) -> str:
+def orbit_svg(sample: OrbitSample, k: int) -> str:
     """Standalone SVG: orbit points on the circle, marked points highlighted."""
+    size = 420  # the image's width and height
     c = size / 2.0
     r = size * 0.42
     parts = [

@@ -97,7 +97,7 @@ def cmd_cf(args) -> int:
             "surd": surd.to_json(),
             "value": mpmath.nstr(surd.value(args.precision_bits), 30),
             "cf": cf.to_json(),
-            "stabilizer_generator": T.to_json() if T is not None else None,
+            "stabilizer_generator": T.to_json(),
         },
         args.out,
     )
@@ -185,23 +185,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_NEGATIVE
 
 
-_SHARED_FLAGS = (
-    ("--precision-bits", int, 256, "working precision"),
-    ("--delta", float, 1e-4, "trust margin near breakpoints"),
-    ("--seed", int, 0, "seed for sampled grids"),
-)
-
-
-def _add_shared_flags(parser, top_level: bool) -> None:
-    # Shared flags may appear before or after the subcommand.  The subparser
-    # copies default to SUPPRESS so they never clobber a value parsed at the
-    # top level.
-    for name, typ, default, text in _SHARED_FLAGS:
-        parser.add_argument(
-            name, type=typ, help=text, default=default if top_level else argparse.SUPPRESS
-        )
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors raise ValueError, for main to report on
     one line, instead of printing the usage block and exiting."""
@@ -213,25 +196,33 @@ class _Parser(argparse.ArgumentParser):
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """main's parser, built once: each parse fills a fresh namespace of its own."""
+    # the shared flags, before or after the subcommand; with no default here
+    # (main's namespace holds them), one given after it never clobbers one before
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--precision-bits", type=int, help="working precision")
+    shared.add_argument("--delta", type=float, help="trust margin near breakpoints")
+    shared.add_argument("--seed", type=int, help="seed for sampled grids")
     parser = _Parser(
         prog="circleconj",
         description="conjugacy engine for integer-lattice circle homeomorphism groups",
+        parents=[shared],
     )
-    _add_shared_flags(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cf = sub.add_parser("cf", help="continued fraction and stabilizer of a quadratic surd")
+    p_cf = sub.add_parser(
+        "cf", parents=[shared], help="continued fraction and stabilizer of a quadratic surd"
+    )
     p_cf.add_argument("--surd", required=True, help="e.g. a=-1,b=1,c=1,d=2 for sqrt(2)-1")
     p_cf.add_argument("--out", default=None, help="also write the JSON to this file")
     p_cf.set_defaults(func=cmd_cf)
 
-    p_dec = sub.add_parser("decide", help="decide conjugacy of two descriptor files")
+    p_dec = sub.add_parser("decide", parents=[shared], help="decide conjugacy of two descriptor files")
     p_dec.add_argument("d1")
     p_dec.add_argument("d2")
     p_dec.add_argument("--out", default=None)
     p_dec.set_defaults(func=cmd_decide)
 
-    p_orb = sub.add_parser("orbit", help="sample an orbit to CSV (and optional SVG)")
+    p_orb = sub.add_parser("orbit", parents=[shared], help="sample an orbit to CSV (and optional SVG)")
     p_orb.add_argument("descriptor")
     p_orb.add_argument("--t0", required=True, help="start point in [0,1), decimal or p/q")
     p_orb.add_argument("--count", type=int, default=1000)
@@ -239,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--svg", default=None, help="optional SVG output path")
     p_orb.set_defaults(func=cmd_orbit)
 
-    p_ver = sub.add_parser("verify", help="decide, realize and numerically verify")
+    p_ver = sub.add_parser("verify", parents=[shared], help="decide, realize and numerically verify")
     p_ver.add_argument("d1")
     p_ver.add_argument("d2")
     p_ver.add_argument("--grid", type=int, default=48)
@@ -247,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--corrupt-witness", action="store_true", help="negative-control mode")
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
-
-    for p in (p_cf, p_dec, p_orb, p_ver):
-        _add_shared_flags(p, top_level=False)
     return parser
 
 
@@ -266,7 +254,9 @@ _FLAG_RULES = (
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # the shared flags' defaults; set_defaults would write them into the
+        # flags' actions, which the subparsers share
+        args = build_parser().parse_args(argv, argparse.Namespace(precision_bits=256, delta=1e-4, seed=0))
     except ValueError as exc:
         return _invalid(exc)
     for name, rule, holds in _FLAG_RULES:

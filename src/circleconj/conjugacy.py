@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf
+from operator import index
 
 import mpmath
 from mpmath.libmp import from_float
@@ -82,8 +83,8 @@ class ConjugacyWitness:
     h: tuple
 
     def __post_init__(self) -> None:
-        w = tuple(int(x) for x in self.w)
-        h = tuple(int(x) for x in self.h)
+        w = tuple(map(index, self.w))
+        h = tuple(map(index, self.h))
         if len(w) != self.M.n or len(h) != self.M.n:
             raise ValueError("w and h must have length n")
         object.__setattr__(self, "w", w)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import index
 from types import MappingProxyType
 
 from mpmath import mp
@@ -97,7 +98,7 @@ class Surd:
     d: int = 1
 
     def __post_init__(self) -> None:
-        a, b, c, d = int(self.a), int(self.b), int(self.c), int(self.d)
+        a, b, c, d = index(self.a), index(self.b), index(self.c), index(self.d)
         if c == 0:
             raise ZeroDivisionError("surd denominator is zero")
         if d <= 0:
@@ -292,8 +293,8 @@ class ContinuedFraction:
     period: tuple
 
     def __post_init__(self) -> None:
-        pre = tuple(int(a) for a in self.preperiod)
-        per = tuple(int(a) for a in self.period)
+        pre = tuple(map(index, self.preperiod))
+        per = tuple(map(index, self.period))
         if not pre:
             raise ValueError("preperiod must contain the integer part")
         for a in pre[1:] + per:
@@ -351,7 +352,7 @@ class NonQuadraticAlpha:
     prefix: tuple
 
     def __post_init__(self) -> None:
-        pre = tuple(int(a) for a in self.prefix)
+        pre = tuple(map(index, self.prefix))
         if len(pre) < 2:
             raise ValueError("prefix must contain at least two partial quotients")
         for a in pre[1:]:
@@ -390,7 +391,7 @@ class UnimodularMatrix2:
 
     def __post_init__(self) -> None:
         for name in ("m2", "m1", "n2", "n1"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, index(getattr(self, name)))
         if abs(self.m1 * self.n2 - self.n1 * self.m2) != 1:
             raise ValueError(f"matrix {self.rows()} is not unimodular")
 

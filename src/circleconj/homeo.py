@@ -44,6 +44,7 @@ from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 import mpmath
@@ -128,9 +129,17 @@ class HbarWrap(HomeoExpr):
 
 @dataclass(frozen=True)
 class Staircase(HomeoExpr):
-    """x in [i, i+1) -> inner^i(x), for inner fixing Z and each [i, i+1]."""
+    """x in [i, i+1) -> inner^i(x), for inner fixing Z and each [i, i+1]: a
+    circle node raises EvalError, and a map that _fixes_integers does not
+    accept from the tree's structure raises ValueError."""
 
     inner: HomeoExpr
+
+    def __post_init__(self) -> None:
+        if type(self.inner) in _CIRCLE_NODES:
+            raise EvalError(f"{type(self.inner).__name__} is not a line node")
+        if not _fixes_integers(self.inner):
+            raise ValueError("staircase inner map must fix every integer")
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,14 @@ class Power(HomeoExpr):
     e: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e", int(self.e))
+        object.__setattr__(self, "e", index(self.e))
+
+
+def _cycle_length(k) -> int:
+    """k, an integer taken by operator.index, when it is at least 1."""
+    if (k := index(k)) < 1:
+        raise ValueError("k must be a positive integer")
+    return k
 
 
 @dataclass(frozen=True)
@@ -179,9 +195,7 @@ class CanonicalF(HomeoExpr):
     gtilde: HomeoExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", int(self.k))
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        object.__setattr__(self, "k", _cycle_length(self.k))
         if not isinstance(self.gtilde, HomeoExpr):
             raise TypeError("gtilde must be a line HomeoExpr")
 
@@ -198,9 +212,7 @@ class CircleExtend(HomeoExpr):
     twist: HomeoExpr = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", int(self.k))
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        object.__setattr__(self, "k", _cycle_length(self.k))
         if self.twist is not None and not isinstance(self.twist, HomeoExpr):
             raise TypeError("twist must be a line HomeoExpr or None")
 
@@ -218,10 +230,8 @@ class CirclePoint:
 
     def __post_init__(self) -> None:
         t = self.t
-        if isinstance(t, int):
-            t = Fraction(0)
-        if isinstance(t, Fraction):
-            t = t % 1
+        if isinstance(t, (int, Fraction)):  # an int is the exact point 0
+            t = Fraction(t) % 1
         else:
             x = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t))._mpf_
             t = mpmath.mp.make_mpf(mpf_sub(x, mpf_floor(x)))
@@ -232,10 +242,8 @@ class CirclePoint:
         return isinstance(self.t, Fraction)
 
     def approx(self, bits: int = 64):
-        if self.is_exact:
-            with mpmath.mp.workprec(bits):
-                return mpmath.mpf(self.t.numerator) / self.t.denominator
-        return self.t
+        """An exact t rounded once to nearest at ``bits`` (_raw); an inexact t as it is."""
+        return mpmath.mp.make_mpf(_raw(self.t, bits)) if self.is_exact else self.t
 
 
 def marked_point(j: int, k: int) -> CirclePoint:
@@ -697,16 +705,9 @@ def _fixes_integers(e: HomeoExpr) -> bool:
 
 
 def staircase(e: HomeoExpr) -> HomeoExpr:
-    """Validated Staircase node: e must fix every integer and preserve each
-    unit interval [i, i+1], which _fixes_integers decides from the tree's
-    structure.  A circle node raises EvalError, and any other map the rule
-    does not accept raises ValueError."""
+    """Staircase(e), which checks e; anything but an expression raises TypeError."""
     if not isinstance(e, HomeoExpr):
         raise TypeError("staircase expects a HomeoExpr")
-    if type(e) in _CIRCLE_NODES:
-        raise EvalError(f"{type(e).__name__} is not a line node")
-    if not _fixes_integers(e):
-        raise ValueError("staircase inner map must fix every integer")
     return Staircase(e)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .exactnum import UnimodularMatrix2, json_ints, json_object
 
@@ -49,8 +50,8 @@ def solve_congruence(coeffs, target: int, k: int):
     Solvable iff gcd(coeffs..., k) divides target; the witness is built by
     folding the coefficients through the extended euclidean algorithm.
     """
-    coeffs = [int(c) for c in coeffs]
-    target = int(target)
+    coeffs = list(map(index, coeffs))
+    target = index(target)
     if k == 1:
         return [0] * len(coeffs)
     # fold: keep g = gcd(coeffs seen so far) and a combination realizing it
@@ -118,8 +119,8 @@ class StructuredMatrix:
     B: tuple
 
     def __post_init__(self) -> None:
-        S = tuple(tuple(int(x) for x in row) for row in self.S)
-        B = tuple(tuple(int(x) for x in row) for row in self.B)
+        S = tuple(tuple(map(index, row)) for row in self.S)
+        B = tuple(tuple(map(index, row)) for row in self.B)
         if len(S) != 2:
             raise ValueError("S must have exactly two rows")
         m = len(S[0])

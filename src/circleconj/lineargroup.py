@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import mpmath
 
@@ -92,7 +93,7 @@ def element_to_expr(d: LineGroupDescriptor, coords) -> HomeoExpr:
     wrapped ``n - i`` times.  Zero blocks are dropped, so the zero vector
     yields ``Identity``.
     """
-    coords = tuple(int(v) for v in coords)
+    coords = tuple(map(index, coords))
     if len(coords) != d.n:
         raise ValueError(f"expected {d.n} coordinates, got {len(coords)}")
     if not isinstance(d.alpha, Surd):
@@ -174,7 +175,7 @@ def minimal_interval(d: LineGroupDescriptor, idx):
     previous interval through the base chart and translate, giving mpmath
     endpoints.
     """
-    idx = tuple(int(i) for i in idx)
+    idx = tuple(map(index, idx))
     if d.n == 2:
         if idx:
             raise ValueError("rank-2 groups act minimally; no construction indices apply")

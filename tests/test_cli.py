@@ -303,6 +303,21 @@ def test_global_flags_accepted(capsys):
     assert code == 0
 
 
+def test_a_shared_flag_counts_the_same_before_and_after_the_subcommand(capsys):
+    pair = (str(SAMPLES / "root2_k2_a.json"), str(SAMPLES / "root2_k2_b.json"))
+    flags = ("--seed", "5", "--precision-bits", "128", "--delta", "1e-3")
+    before = run(capsys, *flags, "verify", *pair, "--grid", "7")
+    after = run(capsys, "verify", *pair, "--grid", "7", *flags)
+    assert before == after
+
+    def chosen(out):
+        blob = json.loads(out)
+        return blob["seed"], blob["report"]["working_bits"], blob["report"]["trust_margin"]
+
+    assert chosen(before[1]) == (5, 128, 1e-3)
+    assert chosen(run(capsys, "verify", *pair, "--grid", "7")[1]) == (0, 256, 1e-4)  # the defaults
+
+
 def test_verify_at_128_bits(capsys):
     code, out, _ = run(
         capsys,

@@ -5,7 +5,10 @@ self-check of a certificate must still run there, so checks raise instead.
 No module but ``__init__.py`` imports a name it never uses, so a rewrite
 leaves no dangling import behind.  No module takes the members of
 ``homeo._chart(...)`` by position, by subscript or by unpacking: they are
-named, so a new member cannot shift the others."""
+named, so a new member cannot shift the others.  No ``__post_init__`` calls
+``int(``: a constructor takes its integers by ``operator.index``, which
+refuses a float, a Fraction or a string where ``int`` would truncate or
+parse it."""
 
 import ast
 from pathlib import Path
@@ -55,3 +58,15 @@ def test_chart_members_are_taken_by_name(path):
         elif isinstance(node, ast.Assign) and _is_chart_call(node.value):
             lines += [node.lineno for t in node.targets if isinstance(t, (ast.Tuple, ast.List))]
     assert lines == [], f"{path.name} takes _chart members by position on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_post_init_truncates_with_int(path):
+    lines = [
+        call.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int"
+    ]
+    assert lines == [], f"{path.name} calls int() in a __post_init__ on lines {lines}"
