@@ -42,6 +42,7 @@ from .homeo import (
     _check_margin,
     _circle_point,
     _fail,
+    _index_at_least,
     _marked_index,
     _raw,
     marked_point,
@@ -59,10 +60,10 @@ def validate_g(g, k: int):
     """(ok, reason): whether the vector g gives a torsion-free extension.
 
     The group is torsion-free exactly when gcd(content(g), k) == 1; in
-    particular the zero vector is rejected for every k > 1.
+    particular the zero vector is rejected for every k > 1; a k below 1 raises ValueError.
     """
     c = content(g)
-    d = math.gcd(c, k)
+    d = math.gcd(c, _index_at_least(k, 1, "k must be a positive integer", TypeError))
     if d != 1:
         return False, (
             f"coordinate content {c} shares the factor {d} with the cycle length {k}; "
@@ -81,10 +82,8 @@ class CircleGroupDescriptor:
     g: tuple
 
     def __post_init__(self) -> None:
-        LineGroupDescriptor(self.alpha, self.n)  # validates alpha and n
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("cycle length k must be an integer >= 1")
-        object.__setattr__(self, "k", index(self.k))  # True as 1
+        object.__setattr__(self, "n", LineGroupDescriptor(self.alpha, self.n).n)  # which checks alpha and n
+        object.__setattr__(self, "k", _index_at_least(self.k, 1, "cycle length k must be an integer >= 1"))
         g = tuple(map(index, self.g))
         if len(g) != self.n:
             raise ValueError(f"expected {self.n} twist coordinates, got {len(g)}")
@@ -132,9 +131,8 @@ class CircleElement:
     h: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.j, int) or self.j < 0:
-            raise ValueError("cycle power j must be a non-negative integer")
-        object.__setattr__(self, "j", index(self.j))  # a bool j as 0 or 1
+        j = _index_at_least(self.j, 0, "cycle power j must be a non-negative integer")
+        object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", tuple(map(index, self.h)))
 
     def to_json(self) -> dict:

@@ -480,14 +480,16 @@ def verify_conjugation(
     For each generator pair the identity psi o g == g' o psi is sampled on a
     random grid that keeps twice the trust margin from the marked points j/k,
     where g and g' break and the only breakpoints psi may have (checked once
-    per call), and measured by circle distance, in the chart when both sides
-    end on one arc, from their difference carried up the wrap levels they
-    share where it is below 2^(40 - working_bits) (homeo._chart); draws that
-    still hit a precision guard are skipped and counted.  Each grid point is
-    drawn inside that window, from one random number, as a chart point lifted
-    in math floats (_grid): it costs no tan, at any margin below 1/(4k).  Only
-    psi is compiled: every g and g' is evaluated on one lift of each grid
-    point x in d1 and one of psi(x) in d2 (circlegroup._lift).  The report is
+    per call), and measured by circle distance: the exact 0 with no arithmetic
+    between equal sides, else in the chart when both sides end on one arc,
+    from their difference carried up the wrap levels they share where it is
+    below 2^(40 - working_bits) (homeo._chart); draws that still hit a
+    precision guard are skipped and counted.  Each grid point is drawn inside
+    that window, from one random number, as a chart point lifted in math
+    floats (_grid): it costs no tan, at any margin below 1/(4k).  Only psi is
+    compiled, each run of its maps inside one wrap level as one level step:
+    every g and g' is evaluated on one lift of each grid point x in d1 and one
+    of psi(x) in d2 (circlegroup._lift).  The report is
     JSON-ready.  Other breakpoints raise ValueError, and so do a tol that is
     not finite and positive and a trust margin of 1/(4k) or more, which
     leaves no grid point.

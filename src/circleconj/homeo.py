@@ -28,9 +28,9 @@ are bit-identical to evaluating with mpf objects.  It follows an error model:
   2^(-working_bits/2 - 2) is x, to which it rounds, so near-equal sides of a
   comparison cost no arctan;
 * wrapped maps compose in wrap coordinates in the same way: a point inside a
-  wrap level travels as a wrap point (i, y), its int floor i and the
-  coordinate y one level down, and it leaves each level once, at the first
-  map that needs its flat value, so no round trip and no guard lies between them.
+  wrap level travels as a wrap point (i, y), its int floor i and the coordinate
+  y one level down; it enters a level once per run of maps inside it and leaves
+  once, at the first map that needs its flat value, with no round trip between.
 
 Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
 to wrapped maps and marked circle points evaluate exactly, which the
@@ -44,6 +44,7 @@ from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from operator import index
 from typing import NamedTuple
 
@@ -69,14 +70,25 @@ class PowerCapExceeded(EvalError):
     """A repeated-composition power exceeded its cap of compositions."""
 
 
+def _index_at_least(value, low: int, message: str, refused=ValueError) -> int:
+    """value taken by operator.index when it is at least low, else ValueError(message);
+    a value that index refuses, such as a float, a NaN or a string, raises refused(message)."""
+    try:
+        if (value := index(value)) >= low:
+            return value
+    except TypeError:
+        raise refused(message) from None
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class Precision:
     working_bits: int = 256
     singular_margin: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not isinstance(self.working_bits, int) or self.working_bits < 64:
-            raise ValueError("working_bits must be an int of at least 64")
+        bits = _index_at_least(self.working_bits, 64, "working_bits must be an int of at least 64")
+        object.__setattr__(self, "working_bits", bits)
         if not self.singular_margin > 0:  # also rejects nan
             raise ValueError("singular_margin must be positive")
 
@@ -177,13 +189,6 @@ class Power(HomeoExpr):
         object.__setattr__(self, "e", index(self.e))
 
 
-def _cycle_length(k) -> int:
-    """k, an integer taken by operator.index, when it is at least 1."""
-    if (k := index(k)) < 1:
-        raise ValueError("k must be a positive integer")
-    return k
-
-
 @dataclass(frozen=True)
 class CanonicalF(HomeoExpr):
     """The canonical k-cycle circle map: rigid rotation by 1/k on the arcs
@@ -195,7 +200,7 @@ class CanonicalF(HomeoExpr):
     gtilde: HomeoExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _cycle_length(self.k))
+        object.__setattr__(self, "k", _index_at_least(self.k, 1, "k must be a positive integer", TypeError))
         if not isinstance(self.gtilde, HomeoExpr):
             raise TypeError("gtilde must be a line HomeoExpr")
 
@@ -212,7 +217,7 @@ class CircleExtend(HomeoExpr):
     twist: HomeoExpr = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _cycle_length(self.k))
+        object.__setattr__(self, "k", _index_at_least(self.k, 1, "k must be a positive integer", TypeError))
         if self.twist is not None and not isinstance(self.twist, HomeoExpr):
             raise TypeError("twist must be a line HomeoExpr or None")
 
@@ -301,15 +306,6 @@ def _marked_index(t, k: int):
     if isinstance(t, Fraction) and k % t.denominator == 0:
         return int(t * k)
     return None
-
-
-def _chain(steps):
-    def chained(x):
-        for f in steps:
-            x = f(x)
-        return x
-
-    return chained
 
 
 def _fail(exc_type, message: str):
@@ -495,7 +491,9 @@ def _chart(prec: int) -> _Chart:
         other two, at flat coordinates A and B, lie |atan A - atan B|/(pi k)
         apart: |atan((A - B)/(1 + AB))|, or pi less it past a negative
         denominator, so one atan; at k = 1 the shorter arc is taken.  Any other
-        pair leaves the chart first."""
+        pair leaves the chart first.  Equal values lie 0 apart, with no arithmetic."""
+        if a == b:
+            return mpmath.mp.make_mpf(fzero)
         if not (type(a) is type(b) is _ChartPoint and a.r == b.r and a.k == b.k):
             return _raw_distance(out_of_chart(a), out_of_chart(b), prec)
         k = a.k
@@ -517,28 +515,65 @@ def _chart(prec: int) -> _Chart:
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
     """(run, marks): e compiled in one walk into a closure on raw points of the
-    line (line=True; mpf tuples) or of the circle, and the k of the
-    breakpoints j/k of the compiled domain's nodes: 1 for an HbarWrap or a
-    Staircase on the line, k for a CanonicalF or a CircleExtend on the circle,
-    also where a shortcut skips compiling the node and inside a zero or
-    over-cap power.  A line run takes and returns an mpf tuple or a wrap point
-    (i, y), i an int: an HbarWrap splits a raw point once into (floor,
-    h^-1(fraction)) and maps (i, y) to (i, inner(y)), a Staircase takes its
-    step from i, an integer Translate adds to i, and every other node
-    flattens the point to i + h(y) first, with _chart's flat.  A circle run
-    takes and returns a circle value (a Fraction or an mpf tuple) or a chart
-    point (r, x), whose x may be a wrap point: a CircleExtend enters the
-    chart once and maps (r, x) to (r, arc(r)(x)); a CanonicalF power e^m maps
-    (r, x) to ((r + m) mod k, gtilde^c(x)) with c = (r + m) // k, and enters
-    the chart so from a circle value that passes the closing arc.  Callers leave the wrap levels
-    with flat, or the chart with out_of_chart, once.  Inside, build(e, m,
-    line) compiles e^m.  A staircase, a cycle map or a twisted extension
-    compiles the powers of its line map on first use, an untwisted extension
-    its line map once.  The chart arithmetic comes from _chart, and the Surd
-    constants are bound once per compile.  A node its domain does not accept,
-    or a power over the cap, raises when run."""
+    line (line=True; mpf tuples) or of the circle, and the k of the breakpoints
+    j/k of the compiled domain's nodes: 1 for an HbarWrap or a Staircase on the
+    line, k for a CanonicalF or a CircleExtend on the circle, also where a
+    shortcut skips compiling the node and inside a zero or over-cap power.  A
+    line run takes and returns an mpf tuple or a wrap point (i, y), i an int: a
+    level step splits a raw point once into (floor, h^-1(fraction)) or reads
+    (i, y), maps y by an HbarWrap's inner map or by a Staircase over an
+    HbarWrap's inner^(i m), in turn, and returns one (i, y); chain merges each
+    run of level steps that holds an HbarWrap.  Any other Staircase takes its
+    step from i, an integer Translate adds to i, and every other node flattens
+    the point to i + h(y) first, with _chart's flat.  A circle run takes and
+    returns a circle value (a Fraction or an mpf tuple) or a chart point
+    (r, x), whose x may be a wrap point: a CircleExtend enters the chart once
+    and maps (r, x) to (r, arc(r)(x)); a CanonicalF power e^m maps (r, x) to
+    ((r + m) mod k, gtilde^c(x)) with c = (r + m) // k, and enters the chart
+    so from a circle value that passes the closing arc.  Callers leave the
+    wrap levels with flat, or the chart with out_of_chart, once.  Inside,
+    build(e, m, line) compiles e^m.  A staircase, a cycle map or a twisted
+    extension compiles the powers of its line map on first use, an untwisted
+    extension its line map once.  The chart arithmetic comes from _chart, and
+    the Surd constants are bound once per compile.  A node its domain does
+    not accept, or a power over the cap, raises when run."""
     prec, marks, domain, chart = p.working_bits, set(), line, _chart(p.working_bits)
     split, h_inv, flat, into_chart = chart.split, chart.h_inv, chart.flat, chart.into_chart
+
+    def level(maps):
+        """The level step of maps, each (f, stairs): y -> f(y), or f(i)(y) for a staircase."""
+
+        def leveled(x):
+            if type(x) is not _WrapPoint:
+                if (parts := split(x)) is None:
+                    return x
+                x = parts[0], h_inv(parts[1])
+            i, y = x
+            for f, stairs in maps:
+                y = f(i)(y) if stairs else f(y)
+            return _WrapPoint(i, y)
+
+        leveled.maps = maps
+        return leveled
+
+    def chain(steps):
+        """steps in turn, nested chains spliced in, each run of level steps holding an HbarWrap
+        as one (staircases alone keep a raw point at floor 0 raw); a single step is itself."""
+        out, spliced = [], [s for f in steps for s in getattr(f, "steps", (f,))]
+        for _, run in groupby(spliced, lambda s: hasattr(s, "maps")):
+            run = list(run)
+            maps = tuple(pair for s in run for pair in getattr(s, "maps", ()))
+            out += [level(maps)] if len(run) > 1 and not all(stairs for _, stairs in maps) else run
+        if len(out) == 1:
+            return out[0]
+
+        def chained(x):
+            for f in out:
+                x = f(x)
+            return x
+
+        chained.steps = out
+        return chained
 
     def build(e: HomeoExpr, m: int, line: bool):
         kind = type(e)
@@ -549,14 +584,14 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         if kind is Power:
             return build(e.inner, m * e.e, line)
         if kind is Compose and (m == 1 or _commuting(e.items)):  # the power distributes
-            return _chain([build(c, m, line) for c in reversed(e.items)])
+            return chain([build(c, m, line) for c in reversed(e.items)])
         if kind is Compose and m == -1:
-            return _chain([build(c, -1, line) for c in e.items])
+            return chain([build(c, -1, line) for c in e.items])
         if m == 0 or abs(m) > 1 and kind in (Compose, Scale, HbarBase, CircleExtend):
             step = build(e, 1 if m > 0 else -1, line)  # repeated |m| times: no closed form, or e^0
             if abs(m) > _POWER_CAP:
                 return _fail(PowerCapExceeded, f"power {m} exceeds cap {_POWER_CAP}")
-            return _chain([step] * abs(m))
+            return chain([step] * abs(m))
         if kind not in (_LINE_NODES if line else _CIRCLE_NODES):
             return _fail(EvalError, f"{kind.__name__} is not a {'line' if line else 'circle'} node")
         if kind is Translate:
@@ -575,15 +610,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
         if line == domain:
             marks.add(1 if line else e.k)
         if kind is HbarWrap:
-            inner = build(e.inner, m, True)
-
-            def wrapped(x):
-                if type(x) is _WrapPoint:
-                    return _WrapPoint(x.i, inner(x.y))
-                parts = split(x)
-                return x if parts is None else _WrapPoint(parts[0], inner(h_inv(parts[1])))
-
-            return wrapped
+            return level(((build(e.inner, m, True), False),))
         if kind is Staircase:
             step = lru_cache(maxsize=None)(lambda n: build(e.inner, n * m, True))  # n -> inner^(n m)
 
@@ -591,6 +618,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
                 parts = x if type(x) is _WrapPoint else split(x)  # the floor is parts[0] either way
                 return x if parts is None else step(parts[0])(x)
 
+            if type(e.inner) is HbarWrap:  # in a level step, y -> inner.inner^(n m)(y) at the floor n
+                stairs.maps = ((lru_cache(maxsize=None)(lambda n: build(e.inner.inner, n * m, True)), True),)
             return stairs
         if kind is CanonicalF:
             k, rigid, rotate = e.k, isinstance(e.gtilde, Identity), chart.rotate

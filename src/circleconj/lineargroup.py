@@ -37,6 +37,7 @@ from .homeo import (
     Scale,
     Translate,
     _chart,
+    _index_at_least,
     _raw,
     hbar_iter,
     staircase,
@@ -73,8 +74,7 @@ class LineGroupDescriptor:
 
     def __post_init__(self) -> None:
         _validate_alpha(self.alpha)
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError("rank n must be an integer >= 2")
+        object.__setattr__(self, "n", _index_at_least(self.n, 2, "rank n must be an integer >= 2"))
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha.to_json(), "n": self.n}

@@ -4,6 +4,10 @@
   ``staircase()``, directly, or by ``expr_from_json``.
 * Constructors and coordinate takers take integers by ``operator.index``: a
   float, a ``Fraction`` or a string raises TypeError, a bool becomes 0 or 1.
+* The four ranged integer places (a rank n, a cycle length k, a cycle power
+  j and ``working_bits``) take any integer type by ``operator.index`` and then
+  check the range; a float, a NaN or a string there raises ValueError, and
+  ``validate_g`` refuses a cycle length below 1.
 * ``CirclePoint.approx`` rounds an exact point once, as ``from_rational`` does.
 * Every input check of the public constructors and functions raises where
   its rule says, including the ones no other test reaches.
@@ -11,6 +15,7 @@
 
 import json
 from fractions import Fraction
+from operator import index
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,6 +46,7 @@ from circleconj.homeo import (
     HbarWrap,
     Identity,
     Power,
+    Precision,
     Staircase,
     Translate,
     expr_from_json,
@@ -214,3 +220,73 @@ def test_each_input_check_raises_where_its_rule_says(name):
             call()
     else:
         assert call() == expected
+
+
+# ------------------------------------------------------- ranged integer places
+
+
+class Index:
+    """An integer type of its own: operator.index takes it, isinstance(_, int) does not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+def circle_of_rank(n):
+    """A circle group of rank n, its twist vector of length n where n is an integer."""
+    try:
+        g = (1,) + (0,) * (index(n) - 1)
+    except TypeError:
+        g = (1, 0)
+    return CircleGroupDescriptor(ROOT2M1, n, 1, g)
+
+
+# each ranged integer place: (build with x there, read the place back, the least value, the message)
+RANGED = {
+    "rank n": (lambda x: LineGroupDescriptor(ROOT2M1, x), lambda o: o.n, 2, "rank n must be an integer >= 2"),
+    "circle rank n": (circle_of_rank, lambda o: o.n, 2, "rank n must be an integer >= 2"),
+    "cycle length k": (lambda x: CircleGroupDescriptor(ROOT2M1, 2, x, (1, 0)), lambda o: o.k, 1,
+                       "cycle length k must be an integer >= 1"),
+    "cycle power j": (lambda x: CircleElement(x, (0, 0)), lambda o: o.j, 0,
+                      "cycle power j must be a non-negative integer"),
+    "working_bits": (lambda x: Precision(working_bits=x), lambda o: o.working_bits, 64,
+                     "working_bits must be an int of at least 64"),
+}
+
+
+@pytest.mark.parametrize("name", RANGED)
+def test_a_ranged_integer_place_takes_any_index_type(name):
+    build, read, low, _ = RANGED[name]
+    for value in (low, low + 3):
+        taken = read(build(Index(value)))
+        assert (type(taken), taken) == (int, value)
+        assert build(Index(value)) == build(value)
+
+
+@pytest.mark.parametrize("value", [0.5, 3.0, float("nan"), "3", Fraction(3), None], ids=repr)
+@pytest.mark.parametrize("name", RANGED)
+def test_a_ranged_integer_place_refuses_a_non_integer_with_its_message(name, value):
+    build, _, _, message = RANGED[name]
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+@pytest.mark.parametrize("name", RANGED)
+def test_a_ranged_integer_place_refuses_a_value_below_its_range(name):
+    build, _, low, message = RANGED[name]
+    for value in (low - 1, Index(low - 1)):
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
+
+@pytest.mark.parametrize("k", [0, -1, -3, Index(0)], ids=repr)
+def test_validate_g_refuses_a_cycle_length_below_1(k):
+    for g in ((1, 0), (2, 0), (0, 0)):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            validate_g(g, k)

@@ -8,7 +8,8 @@ leaves no dangling import behind.  No module takes the members of
 named, so a new member cannot shift the others.  No ``__post_init__`` calls
 ``int(``: a constructor takes its integers by ``operator.index``, which
 refuses a float, a Fraction or a string where ``int`` would truncate or
-parse it."""
+parse it, and none checks ``isinstance(..., int)``, which refuses an integer
+type that ``operator.index`` takes, so integers have one rule."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,16 @@ def test_no_post_init_truncates_with_int(path):
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int"
     ]
     assert lines == [], f"{path.name} calls int() in a __post_init__ on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_post_init_checks_isinstance_int(path):
+    lines = [
+        call.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+        and len(call.args) == 2 and getattr(call.args[1], "id", None) == "int"
+    ]
+    assert lines == [], f"{path.name} checks isinstance(..., int) in a __post_init__ on lines {lines}"
