@@ -43,8 +43,6 @@ from .homeo import (
     _circle_point,
     _fail,
     _index_at_least,
-    _marked_index,
-    _raw,
     marked_point,
 )
 from .exactnum import Surd, json_int, json_ints, json_object, surd_mpf
@@ -285,8 +283,8 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
             except EvalError as exc:
                 margin = _fail(type(exc), str(exc))
         try:
-            if type(t) is not _ChartPoint and _marked_index(t, k) is None:
-                r = (chart.arc_floor(t, k) - 1) % k
+            if type(t) is not _ChartPoint:
+                r = chart.arc(t, k)
             point = chart.into_chart(t, k)
             if point is not None:
                 r, x = point.r, point.x  # each level read off a wrap point, or split off a raw x with a tan
@@ -346,35 +344,33 @@ def orbit_sample(
     between consecutive images, and the number of draws skipped because the
     evaluation hit a guard.  The draws are evaluated on one lift of t0, its
     chart coordinates at every wrap level, by one lifter per sample (_lift),
-    and each image leaves the chart once.  A declared
+    and each image leaves the chart once.  They are aimed from the same lift:
+    t0's arc and its outer line coordinate.  A declared
     non-quadratic base point is refused with TypeError: its elements have no
     exact translation lengths.
     """
     if not isinstance(d.alpha, Surd):
         raise TypeError("a declared non-quadratic base point has no exact translation lengths")
-    if not isinstance(t0, CirclePoint):
-        t0 = CirclePoint(t0)
+    t0 = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
     rng = random.Random(seed)
     alpha_f = float(d.alpha)
     drift = d.g[0] + d.g[1] * alpha_f if d.n == 2 else float(d.g[-1])
-    t0f = float(t0.approx(53)) * d.k
-    arc0 = min(int(t0f), d.k - 1)
-    # line coordinate of t0 inside its arc; aimed windows are centred on it
-    base = math.tan(math.pi * (min(max(t0f - arc0, 1e-9), 1 - 1e-9) - 0.5))
-    _, image = _lift(d, p)(t0.t if t0.is_exact else _raw(t0.t._mpf_, p.working_bits))
-    out_of_chart = _chart(p.working_bits).out_of_chart
+    chart = _chart(p.working_bits)
+    point, image = _lift(d, p)(t0._start(p.working_bits))
+    # the aimed windows are centred on t0's outer line coordinate, or on the arc's centre 0
+    # where t0 has no chart point (marked, or too close to a marked point) or it has no float
+    r0, base = (point.r, chart.approx(point.x)) if type(point) is _ChartPoint else (None, 0.0)
+    base = base if math.isfinite(base) else 0.0
     values = [t0.approx(p.working_bits)]
     skipped = 0
     strata = max(1, -(-count // d.k))  # complete stratified sweep per arc
     for i in range(count):
         j = i % d.k
-        # the cycle map is a rigid rotation except when a step leaves the arc
-        # below the base marked point, where the torsion element acts once
-        crossed = (arc0 == 0 and j >= 1) or (arc0 >= 1 and arc0 + j >= d.k + 1)
         u = (i // d.k + rng.random()) / strata
-        h = _draw_coords(d, rng, alpha_f, u, base + (drift if crossed else 0.0))
+        # f^j passes the closing arc, where g acts once, as in the lifter
+        h = _draw_coords(d, rng, alpha_f, u, base + (drift if r0 is not None and r0 + j >= d.k else 0.0))
         try:
-            values.append(_circle_point(out_of_chart(image(j, h))).approx(p.working_bits))
+            values.append(_circle_point(chart.out_of_chart(image(j, h))).approx(p.working_bits))
         except EvalError:
             skipped += 1
     low = min(v.exp for v in values)

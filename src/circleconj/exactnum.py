@@ -63,10 +63,6 @@ def is_square_free(d: int) -> bool:
     return d > 0 and all(d % (f * f) for f in range(2, isqrt(d) + 1))
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def surd_mpf(a: int, b: int, c: int, d: int, bits: int) -> tuple:
     """(a + b*sqrt(d))/c, for c > 0 and d > 1 square-free when b != 0, rounded
     once to nearest at ``bits``, as a raw mpf tuple.  As a^2 - b^2 d is a nonzero
@@ -208,20 +204,10 @@ class Surd:
     # -- exact order structure ---------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the value, by integer arithmetic only."""
-        A, B, d = self.a, self.b, self.d
-        if B == 0:
-            return _sign(A)
-        if A == 0:
-            return _sign(B)
-        if A > 0 and B > 0:
-            return 1
-        if A < 0 and B < 0:
-            return -1
-        lhs, rhs = A * A, B * B * d
-        if A > 0:  # B < 0
-            return _sign(lhs - rhs)
-        return _sign(rhs - lhs)  # A < 0, B > 0
+        """Exact sign of the value, by integer arithmetic only: as x -> x|x| is
+        increasing and odd, a + b sqrt(d) has the sign of a|a| + b|b| d."""
+        s = self.a * abs(self.a) + self.b * abs(self.b) * self.d
+        return (s > 0) - (s < 0)
 
     def _cmp(self, other) -> int:
         return (self - Surd.coerce(other)).sign()

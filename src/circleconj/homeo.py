@@ -32,9 +32,9 @@ are bit-identical to evaluating with mpf objects.  It follows an error model:
   y one level down; it enters a level once per run of maps inside it and leaves
   once, at the first map that needs its flat value, with no round trip between.
 
-Exact inputs (ints, Fractions, Surds) bypass the trust margin: integer inputs
-to wrapped maps and marked circle points evaluate exactly, which the
-invariance tests rely on.
+Exact inputs (integers, Fractions, and Surds on the line, by _entry's one
+rule) bypass the trust margin: integer inputs to wrapped maps and marked
+circle points evaluate exactly, which the invariance tests rely on.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (
-    fhalf, fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_atan, mpf_div,
-    mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift,
-    mpf_sub, mpf_tan, mpf_pos, round_nearest, to_float, to_int, to_str,
+    fhalf, finf, fnan, fninf, fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add,
+    mpf_atan, mpf_div, mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_pi, mpf_shift, mpf_sub, mpf_tan, mpf_pos, round_nearest, to_float, to_int, to_str,
 )
 
 from .exactnum import Surd, json_int, json_object, surd_mpf
@@ -227,19 +227,15 @@ class CircleExtend(HomeoExpr):
 
 @dataclass(frozen=True)
 class CirclePoint:
-    """A point of the circle as a lift t in [0, 1); exact when t is a
-    Fraction, approximate when it is a binary float.  An mpf keeps its own
-    bits, and its fractional part is taken exactly."""
+    """A point of the circle as a lift t in [0, 1); exact, as a Fraction, when
+    _entry takes t as exact, approximate, as a binary float, otherwise.  An
+    mpf keeps its own bits, and its fractional part is taken exactly."""
 
     t: object
 
     def __post_init__(self) -> None:
-        t = self.t
-        if isinstance(t, (int, Fraction)):  # an int is the exact point 0
-            t = Fraction(t) % 1
-        else:
-            x = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t))._mpf_
-            t = mpmath.mp.make_mpf(mpf_sub(x, mpf_floor(x)))
+        t = _entry(self.t)  # an integer is the exact point 0
+        t = t % 1 if isinstance(t, Fraction) else mpmath.mp.make_mpf(mpf_sub(t._mpf_, mpf_floor(t._mpf_)))
         object.__setattr__(self, "t", t)
 
     @property
@@ -249,6 +245,27 @@ class CirclePoint:
     def approx(self, bits: int = 64):
         """An exact t rounded once to nearest at ``bits`` (_raw); an inexact t as it is."""
         return mpmath.mp.make_mpf(_raw(self.t, bits)) if self.is_exact else self.t
+
+    def _start(self, bits: int):
+        """The raw value evaluation at ``bits`` starts from: an exact t, or an inexact t rounded once."""
+        return self.t if self.is_exact else _raw(self.t._mpf_, bits)
+
+
+def _entry(x, line: bool = False):
+    """x under the one entry rule for points: every operator.index integer and
+    every Fraction is exact, as a Fraction, and so is a Surd on the line; any
+    other value goes to mpmath, as an mpf that keeps its own bits, and must be
+    finite, or a ValueError names it."""
+    v = x
+    if not isinstance(x, mpmath.mpf):  # an mpf, the common point, skips the slower checks
+        if isinstance(x, Fraction) or line and isinstance(x, Surd):
+            return x
+        if hasattr(type(x), "__index__"):  # what operator.index takes
+            return Fraction(index(x))
+        v = mpmath.mpf(x)
+    if v._mpf_ in (finf, fninf, fnan):
+        raise ValueError(f"a point must be a finite real number, got {x!r}")
+    return v
 
 
 def marked_point(j: int, k: int) -> CirclePoint:
@@ -302,12 +319,6 @@ def _edge(frac, prec: int):
     return rest if mpf_lt(rest, frac) else frac
 
 
-def _marked_index(t, k: int):
-    if isinstance(t, Fraction) and k % t.denominator == 0:
-        return int(t * k)
-    return None
-
-
 def _fail(exc_type, message: str):
     def raising(x):
         raise exc_type(message)
@@ -351,7 +362,7 @@ class _WrapPoint(NamedTuple):
     y: tuple
 
 
-_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc_floor distance into_chart out_of_chart")
+_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc approx distance into_chart out_of_chart")
 
 
 @lru_cache(maxsize=16)
@@ -414,6 +425,11 @@ def _chart(prec: int) -> _Chart:
         guard(mpf_sub(kt, from_int(j), prec, _RN))
         return min(max(j, 0), k - 1)
 
+    def arc(t, k: int):
+        """The arc of the circle value t counted from (1/k, 2/k): r with t in
+        ((r + 1)/k, (r + 2)/k) mod 1, or None at a marked point j/k."""
+        return None if isinstance(t, Fraction) and k % t.denominator == 0 else (arc_floor(t, k) - 1) % k
+
     def chart_to_line(v, k: int):
         """Lift a point of the first arc (1/k, 2/k) to the line through the chart."""
         y = mpf_sub(mpf_mul_int(_raw(v, prec), k, prec, _RN), fone, prec, _RN)
@@ -433,9 +449,8 @@ def _chart(prec: int) -> _Chart:
             if t.k == k:
                 return t
             t = out_of_chart(t)
-        if _marked_index(t, k) is not None:
+        if (r := arc(t, k)) is None:
             return None
-        r = (arc_floor(t, k) - 1) % k  # arc index is k for j = 0, else j
         return _ChartPoint(r, chart_to_line(rotate(t, -r, k) if r else t, k), k)
 
     def out_of_chart(t):
@@ -510,7 +525,7 @@ def _chart(prec: int) -> _Chart:
         d = mpf_div(angle, pi_k(k), prec, _RN)
         return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
 
-    return _Chart(split, h, h_inv, flat, rotate, arc_floor, distance, into_chart, out_of_chart)
+    return _Chart(split, h, h_inv, flat, rotate, arc, approx, distance, into_chart, out_of_chart)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
@@ -628,8 +643,8 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             def cycle(t):
                 if type(t) is not _ChartPoint or t.k != k:
                     t = chart.out_of_chart(t)
-                    marked = _marked_index(t, k) is not None  # rotates exactly
-                    if marked or ((chart.arc_floor(t, k) - 1) % k + m) // k == 0 or rigid:  # from arc 1 on
+                    r = chart.arc(t, k)  # a marked point rotates exactly
+                    if r is None or (r + m) // k == 0 or rigid:
                         return rotate(t, m, k)  # t does not pass the closing arc
                     t = into_chart(t, k)
                 c, r = divmod(t.r + m, k)  # c signed passes from arc 0 into arc 1
@@ -686,10 +701,11 @@ def eval_line(e: HomeoExpr, x, p: Precision = DEFAULT_PRECISION):
 
     Inexact inputs within ``singular_margin`` of a breakpoint (an integer,
     when the tree wraps or staircases anything) raise PrecisionExhausted;
-    exact inputs take exact fixed-point shortcuts where they apply.
+    exact inputs (_entry) take exact fixed-point shortcuts where they apply.
     """
-    exact = isinstance(x, (int, Fraction, Surd))
-    return mpmath.mp.make_mpf(_evaluate(e, _raw(x, p.working_bits), exact, p, True))
+    v = _entry(x, True)  # an inexact x is rounded once, from x itself, to working_bits
+    exact = isinstance(v, (Fraction, Surd))
+    return mpmath.mp.make_mpf(_evaluate(e, _raw(v if exact else x, p.working_bits), exact, p, True))
 
 
 def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoint:
@@ -700,8 +716,7 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
     within ``singular_margin`` of a marked point it raises PrecisionExhausted.
     """
     point = t if isinstance(t, CirclePoint) else CirclePoint(t)
-    raw = point.t if point.is_exact else _raw(point.t._mpf_, p.working_bits)
-    return _circle_point(_evaluate(e, raw, point.is_exact, p, False))
+    return _circle_point(_evaluate(e, point._start(p.working_bits), point.is_exact, p, False))
 
 
 def _circle_point(value) -> CirclePoint:
@@ -744,12 +759,13 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
     """Average lift displacement (F^iters(x0) - x0) / iters; error <= 1/iters.
 
     The lift branch is chosen pointwise in [0, 1); exact orbits yield an
-    exact Fraction.
+    exact Fraction.  An inexact t0 is rounded once to ``working_bits``, as in
+    eval_circle.
     """
     if iters < 1:
         raise ValueError("iters must be positive")
-    point = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
-    cur, prec = (point.t if point.is_exact else point.t._mpf_), p.working_bits
+    prec = p.working_bits
+    cur = (t0 if isinstance(t0, CirclePoint) else CirclePoint(t0))._start(prec)
     run, out_of_chart = _compile(e, p, False)[0], _chart(prec).out_of_chart
     with mpmath.mp.workprec(prec):
         total = Fraction(0)

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from circleconj import circlegroup
 from circleconj.circlegroup import (
     CircleElement,
     CircleGroupDescriptor,
@@ -31,6 +33,7 @@ from circleconj.homeo import (
     Power,
     Precision,
     PrecisionExhausted,
+    _chart,
     circle_distance,
     eval_circle,
     rotation_number,
@@ -259,6 +262,49 @@ def test_orbit_sample_refuses_a_nonquadratic_base_point():
     d = CircleGroupDescriptor(NonQuadraticAlpha((0, 1, 2, 3, 4, 5)), 2, 2, (1, 0))
     with pytest.raises(TypeError, match="non-quadratic"):
         orbit_sample(d, CirclePoint(Fraction(3, 10)), 0, p=P)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_t0_the_lift_cannot_place_aims_from_the_arc_centre_and_moves_nowhere(n, monkeypatch):
+    """t0 = 1/2 + 10^-50 at k = 2 lies 2 10^-50 into its arc's chart, inside
+    the 2^-128 guard at 256 bits, so into_chart raises and the lift has no
+    coordinate for t0.  The aim is then the arc's centre, coordinate 0, with
+    no drift, as for a marked t0, and the lifter's guard rule skips every draw
+    that moves t0 or passes the closing arc: only draws with h = 0 that stay
+    off the closing arc are kept, as exact rotations of t0."""
+    d = CircleGroupDescriptor(ROOT2M1, n, 2, (1,) + (0,) * (n - 1))
+    t0 = Fraction(1, 2) + Fraction(1, 10**50)
+    chart = _chart(P.working_bits)
+    with pytest.raises(PrecisionExhausted):
+        chart.into_chart(t0, 2)
+    draws, draw = [], circlegroup._draw_coords
+
+    def recording(d, rng, alpha_f, u, aim):
+        draws.append((aim, draw(d, rng, alpha_f, u, aim)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(circlegroup, "_draw_coords", recording)
+    sample = orbit_sample(d, CirclePoint(t0), 1000, seed=0, p=P)
+    assert {aim for aim, _ in draws} == {0.0}
+    r0 = chart.arc(t0, 2)  # 0: t0 lies in (1/2, 1), the arc after (0, 1/2)
+    kept = [chart.rotate(t0, i % 2, 2) for i, (_, h) in enumerate(draws) if not any(h) and r0 + i % 2 < 2]
+    assert kept and sample.skipped == 1000 - len(kept)
+    assert sample.points == tuple(sorted(CirclePoint(t).approx(P.working_bits) for t in [t0] + kept))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_t0_whose_coordinate_is_past_the_float_range_aims_from_the_arc_centre(n, monkeypatch):
+    """At 4096 bits the lift places t0 = 2^-1500 (k = 1) at a coordinate
+    near -2^1500/pi, which has no float, so the draws aim from 0 and every
+    image is evaluated."""
+    d, t0, p = CircleGroupDescriptor(ROOT2M1, n, 1, (1,) + (0,) * (n - 1)), Fraction(1, 2**1500), Precision(4096)
+    point, _ = _lift(d, p)(t0)
+    assert _chart(4096).approx(point.x) == -math.inf
+    aims, draw = set(), circlegroup._draw_coords
+    monkeypatch.setattr(circlegroup, "_draw_coords", lambda *args: aims.add(args[-1]) or draw(*args))
+    sample = orbit_sample(d, CirclePoint(t0), 12, seed=0, p=p)
+    assert aims == {0.0} and sample.skipped == 0 and len(sample.points) == 13
+    assert all(0 < t < 1 for t in sample.points)
 
 
 def test_orbit_outputs():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 import mpmath
 import pytest
@@ -123,6 +123,36 @@ def test_sign_is_exact_on_near_ties():
     assert (SQRT2 - Fraction(99, 70)).sign() == -1
     assert (SQRT2 - Fraction(140, 99)).sign() == 1
     assert (SQRT2 - SQRT2).sign() == 0
+
+
+def sqrt_convergents(N: int, count: int):
+    """(p, q) of the first count convergents of sqrt(N), N not a square, by the
+    integer recurrence of its continued fraction."""
+    a0 = isqrt(N)
+    m, den, a, (p0, q0, p1, q1) = 0, 1, a0, (1, 0, a0, 1)
+    out = [(p1, q1)]
+    while len(out) < count:
+        m = den * a - m
+        den = (N - m * m) // den
+        a = (a0 + m) // den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+@pytest.mark.parametrize("N, shift", [(2, 0), (2, 1), (94, 9)])
+def test_sign_is_exact_between_consecutive_convergents_of_30_digits(N, shift):
+    """sqrt(N) - p_i/q_i has the sign (-1)^i, so consecutive convergents of
+    alpha = sqrt(N) - shift whose terms have 30 digits lie on both sides of
+    alpha, about 10^-60 away, and a + b sqrt(N) nearly cancels."""
+    alpha, convergents = Surd(-shift, 1, 1, N), enumerate(sqrt_convergents(N, 200))
+    pairs = [(i, p - shift * q, q) for i, (p, q) in convergents if len(str(p - shift * q)) == len(str(q)) == 30]
+    assert len(pairs) >= 2 and pairs[1][0] == pairs[0][0] + 1
+    for i, p, q in pairs:  # p/q a convergent of alpha
+        expected = (-1) ** i
+        assert (alpha - Fraction(p, q)).sign() == expected
+        assert Surd(-p - shift * q, q, 1, N).sign() == expected  # q alpha - p
+        assert Surd(p + shift * q, -q, 1, N).sign() == -expected
 
 
 def test_sign_brute_force():

@@ -9,14 +9,20 @@
   check the range; a float, a NaN or a string there raises ValueError, and
   ``validate_g`` refuses a cycle length below 1.
 * ``CirclePoint.approx`` rounds an exact point once, as ``from_rational`` does.
+* A point enters ``CirclePoint``, ``eval_circle``, ``eval_line``,
+  ``orbit_sample`` and ``rotation_number`` by one rule: every
+  ``operator.index`` integer and every ``Fraction`` is exact; any other value
+  goes to mpmath and must be finite, or a ValueError names it.
 * Every input check of the public constructors and functions raises where
   its rule says, including the ones no other test reaches.
 """
 
 import json
+import re
 from fractions import Fraction
 from operator import index
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
@@ -25,7 +31,9 @@ from circleconj.circlegroup import (
     CircleElement,
     CircleGroupDescriptor,
     bar_extend,
+    canonical_f,
     content,
+    orbit_sample,
     validate_g,
 )
 from circleconj.conjugacy import ConjugacyWitness
@@ -49,6 +57,8 @@ from circleconj.homeo import (
     Precision,
     Staircase,
     Translate,
+    eval_circle,
+    eval_line,
     expr_from_json,
     expr_to_json,
     rotation_number,
@@ -290,3 +300,35 @@ def test_validate_g_refuses_a_cycle_length_below_1(k):
     for g in ((1, 0), (2, 0), (0, 0)):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             validate_g(g, k)
+
+
+# ------------------------------------------------------------ points entering
+
+WRAPPED = HbarWrap(Translate(ROOT2M1))
+CYCLE = canonical_f(CIRCLE2)
+
+# each entry of a point, called with x as the point
+ENTRIES = {
+    "CirclePoint": lambda x: CirclePoint(x),
+    "eval_circle": lambda x: eval_circle(CYCLE, x),
+    "eval_line": lambda x: eval_line(WRAPPED, x),
+    "orbit_sample": lambda x: orbit_sample(CIRCLE2, x, 3),
+    "rotation_number": lambda x: rotation_number(CYCLE, x, 3),
+}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_an_index_integer_enters_as_the_exact_int(name):
+    """The int gives the exact point 0 (the marked point of every k), its exact image and its exact rotation number."""
+    for value in (0, 2, -3):
+        assert ENTRIES[name](Index(value)) == ENTRIES[name](value)
+
+
+NOT_FINITE = [float("nan"), float("inf"), float("-inf"), mpmath.mpf("nan"), mpmath.mpf("inf"), mpmath.mpf("-inf")]
+
+
+@pytest.mark.parametrize("value", NOT_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ENTRIES)
+def test_a_point_that_is_not_finite_raises_the_entry_rule_error(name, value):
+    with pytest.raises(ValueError, match=f"^a point must be a finite real number, got {re.escape(repr(value))}$"):
+        ENTRIES[name](value)

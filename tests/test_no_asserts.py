@@ -9,7 +9,10 @@ named, so a new member cannot shift the others.  No ``__post_init__`` calls
 ``int(``: a constructor takes its integers by ``operator.index``, which
 refuses a float, a Fraction or a string where ``int`` would truncate or
 parse it, and none checks ``isinstance(..., int)``, which refuses an integer
-type that ``operator.index`` takes, so integers have one rule."""
+type that ``operator.index`` takes, so integers have one rule.  The arc of a
+circle value has one rule, ``homeo._chart``'s ``arc``: nothing else calls
+``arc_floor``.  Only ``homeo.py`` reads an mpf's ``_mpf_``, so a point's raw
+value comes from one place."""
 
 import ast
 from pathlib import Path
@@ -84,3 +87,25 @@ def test_no_post_init_checks_isinstance_int(path):
         and len(call.args) == 2 and getattr(call.args[1], "id", None) == "int"
     ]
     assert lines == [], f"{path.name} checks isinstance(..., int) in a __post_init__ on lines {lines}"
+
+
+def test_only_chart_calls_arc_floor():
+    lines = []
+    for path in MODULES:
+        tree, inside = parse(path), set()
+        if path.name == "homeo.py":
+            chart = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_chart")
+            inside = set(map(id, ast.walk(chart)))
+        lines += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and "arc_floor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert lines == [], f"arc_floor is called outside homeo._chart at {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "homeo.py"], ids=lambda p: p.name)
+def test_only_homeo_reads_mpf_bits(path):
+    lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Attribute) and node.attr == "_mpf_"]
+    assert lines == [], f"{path.name} reads ._mpf_ on lines {lines}"
