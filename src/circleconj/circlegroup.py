@@ -40,7 +40,7 @@ from .homeo import (
     _WrapPoint,
     _chart,
     _check_margin,
-    _circle_point,
+    _circle_mpf,
     _fail,
     _index_at_least,
     marked_point,
@@ -370,7 +370,7 @@ def orbit_sample(
         # f^j passes the closing arc, where g acts once, as in the lifter
         h = _draw_coords(d, rng, alpha_f, u, base + (drift if r0 is not None and r0 + j >= d.k else 0.0))
         try:
-            values.append(_circle_point(chart.out_of_chart(image(j, h))).approx(p.working_bits))
+            values.append(_circle_mpf(chart.out_of_chart(image(j, h)), p.working_bits))
         except EvalError:
             skipped += 1
     low = min(v.exp for v in values)

@@ -128,11 +128,7 @@ class Surd:
 
     @staticmethod
     def coerce(x) -> "Surd":
-        if isinstance(x, Surd):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Surd.from_rational(x)
-        raise TypeError(f"cannot interpret {x!r} as an exact real")
+        return x if isinstance(x, Surd) else Surd(*_parts(x))
 
     # -- predicates ------------------------------------------------------------
 
@@ -147,24 +143,25 @@ class Surd:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _common_d(self, other: "Surd") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise MixedRadicandError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-        return self.d
+    def _terms(self, other) -> tuple:
+        """``other`` as (a, b, c, d) over the radicand d that it shares with self."""
+        a, b, c, d = _parts(other)
+        if b == 0:
+            return a, b, c, self.d
+        if self.b != 0 and self.d != d:
+            raise MixedRadicandError(f"cannot mix sqrt({self.d}) with sqrt({d})")
+        return a, b, c, d
+
+    def _sum(self, other, s: int, t: int) -> "Surd":
+        """s*self + t*other, for s and t in {1, -1}."""
+        a, b, c, d = self._terms(other)
+        return Surd(s * self.a * c + t * a * self.c, s * self.b * c + t * b * self.c, self.c * c, d)
+
+    def _product(self, a: int, b: int, c: int, d: int) -> "Surd":
+        return Surd(self.a * a + self.b * b * d, self.a * b + self.b * a, self.c * c, d)
 
     def __add__(self, other) -> "Surd":
-        other = Surd.coerce(other)
-        d = self._common_d(other)
-        return Surd(
-            self.a * other.c + other.a * self.c,
-            self.b * other.c + other.b * self.c,
-            self.c * other.c,
-            d,
-        )
+        return self._sum(other, 1, 1)
 
     __radd__ = __add__
 
@@ -172,34 +169,24 @@ class Surd:
         return Surd(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other) -> "Surd":
-        return self + (-Surd.coerce(other))
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other) -> "Surd":
-        return (-self) + Surd.coerce(other)
+        return self._sum(other, -1, 1)
 
     def __mul__(self, other) -> "Surd":
-        other = Surd.coerce(other)
-        d = self._common_d(other)
-        return Surd(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            self.c * other.c,
-            d,
-        )
+        return self._product(*self._terms(other))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        norm = self.a * self.a - self.b * self.b * self.d  # 0 only at a = b = 0, as b*b*d is no square
-        if norm == 0:
-            raise ZeroDivisionError("division by zero surd")
-        return Surd(self.c * self.a, -self.c * self.b, norm, self.d)
+        return Surd(*_inverse(self.a, self.b, self.c, self.d))
 
     def __truediv__(self, other) -> "Surd":
-        return self * Surd.coerce(other).inverse()
+        return self._product(*_inverse(*self._terms(other)))
 
     def __rtruediv__(self, other) -> "Surd":
-        return Surd.coerce(other) * self.inverse()
+        return self.inverse() * other
 
     # -- exact order structure ---------------------------------------------------
 
@@ -210,7 +197,7 @@ class Surd:
         return (s > 0) - (s < 0)
 
     def _cmp(self, other) -> int:
-        return (self - Surd.coerce(other)).sign()
+        return (self - other).sign()
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -264,6 +251,28 @@ class Surd:
             return str(Fraction(self.a, self.c))
         num = f"{self.a}{self.b:+d}*sqrt({self.d})"
         return num if self.c == 1 else f"({num})/{self.c}"
+
+
+def _parts(x) -> tuple:
+    """An exact real as (a, b, c, d): a Surd's own fields, (p, 0, q, 1) for a
+    Fraction p/q, and (m, 0, 1, 1) for every integer m that operator.index
+    takes, so that no operand Surd is built."""
+    if isinstance(x, Surd):
+        return x.a, x.b, x.c, x.d
+    try:  # an integer, the common operand, comes before the slower Fraction check
+        return index(x), 0, 1, 1
+    except TypeError:
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator, 1
+        raise TypeError(f"cannot interpret {x!r} as an exact real") from None
+
+
+def _inverse(a: int, b: int, c: int, d: int) -> tuple:
+    """1/((a + b*sqrt(d))/c) as (a, b, c, d), not in canonical form."""
+    norm = a * a - b * b * d  # 0 only at a = b = 0, as b*b*d is no square
+    if norm == 0:
+        raise ZeroDivisionError("division by zero surd")
+    return c * a, -c * b, norm, d
 
 
 @dataclass(frozen=True)
@@ -467,14 +476,16 @@ class AlphaProfile:
     emitted; state 0 is ``x`` itself.  The map runs until a tail state
     repeats, so ``quotients[start:]`` is one full period and ``cycle`` maps
     each state on the cycle to its index.  The integer part always stays in
-    the preperiod (start >= 1).  ``of`` is memoized, so every caller shares
-    one profile per surd; ``cycle`` is a read-only mapping for that reason.
+    the preperiod (start >= 1), and ``cf`` is the continued fraction they
+    make.  ``of`` is memoized, so every caller shares one profile per surd;
+    ``cycle`` is a read-only mapping and ``cf`` is frozen for that reason.
     """
 
     x: Surd
     quotients: tuple
     start: int
     cycle: MappingProxyType
+    cf: ContinuedFraction
 
     @classmethod
     @lru_cache(maxsize=256)
@@ -494,7 +505,8 @@ class AlphaProfile:
             start = seen.get(cur)
             if start is not None:
                 cycle = MappingProxyType({state: i for state, i in seen.items() if i >= start})
-                return cls(x, tuple(quotients), start, cycle)
+                cf = ContinuedFraction(quotients[:start], quotients[start:])
+                return cls(x, tuple(quotients), start, cycle, cf)
             seen[cur] = len(quotients)
         raise RuntimeError(f"Gauss map did not cycle within its cap of {_MAX_GAUSS_STEPS} steps")
 
@@ -516,8 +528,7 @@ def cf_expand(x) -> ContinuedFraction:
     """Exact continued fraction of a quadratic irrational (or a declared prefix)."""
     if isinstance(x, NonQuadraticAlpha):
         return x.cf()
-    prof = AlphaProfile.of(Surd.coerce(x))
-    return ContinuedFraction(prof.quotients[:prof.start], prof.quotients[prof.start:])
+    return AlphaProfile.of(Surd.coerce(x)).cf
 
 
 def equivalent(x, y):

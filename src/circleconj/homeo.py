@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (
-    fhalf, finf, fnan, fninf, fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add,
+    fhalf, finf, fnan, fninf, fone, from_float, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add,
     mpf_atan, mpf_div, mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
     mpf_pi, mpf_shift, mpf_sub, mpf_tan, mpf_pos, round_nearest, to_float, to_int, to_str,
 )
@@ -274,21 +274,25 @@ def marked_point(j: int, k: int) -> CirclePoint:
 
 def circle_distance(a, b):
     """Shorter arc length between two circle points, from their exact
-    difference: a Fraction between Fractions; else an mpf, exact between
-    binary points, rounded once to the global precision otherwise."""
-    ta, tb = (x.t if isinstance(x, CirclePoint) else x for x in (a, b))
+    difference: a Fraction between exact points, two integers included;
+    else an mpf, exact when the difference is binary (as between binary
+    points, integers among them), else rounded once to the global precision.
+    A raw input enters by the entry rule (_entry)."""
+    ta, tb = (x.t if isinstance(x, CirclePoint) else _entry(x) for x in (a, b))
     if isinstance(ta, Fraction) or isinstance(tb, Fraction):
         d = (_fraction(ta) - _fraction(tb)) % 1
         d = min(d, 1 - d)
         if isinstance(ta, Fraction) and isinstance(tb, Fraction):
             return d
-        return mpmath.mp.make_mpf(from_rational(d.numerator, d.denominator, mpmath.mp.prec, _RN))
-    ta, tb = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t) for t in (ta, tb))
+        p, q = d.numerator, d.denominator
+        if q & (q - 1) == 0:  # q a power of 2: a binary difference
+            return mpmath.mp.make_mpf(from_man_exp(p, 1 - q.bit_length()))
+        return mpmath.mp.make_mpf(from_rational(p, q, mpmath.mp.prec, _RN))
     return _raw_distance(ta._mpf_, tb._mpf_, 0)
 
 
 def _fraction(t) -> Fraction:
-    """A Fraction, a float or an mpf exactly as a Fraction."""
+    """A Fraction or an mpf exactly as a Fraction."""
     return Fraction(t.man) * Fraction(2) ** t.exp if isinstance(t, mpmath.mpf) else Fraction(t)
 
 
@@ -722,6 +726,15 @@ def eval_circle(e: HomeoExpr, t, p: Precision = DEFAULT_PRECISION) -> CirclePoin
 def _circle_point(value) -> CirclePoint:
     """A raw circle value, a Fraction or an mpf tuple, as a CirclePoint."""
     return CirclePoint(value if isinstance(value, Fraction) else mpmath.mp.make_mpf(value))
+
+
+def _circle_mpf(value, bits: int):
+    """A raw circle value in [0, 1], a Fraction or an mpf tuple, as the mpf that
+    _circle_point(value).approx(bits) gives, with no CirclePoint: only an mpf
+    of exactly 1 needs its fractional part, 0."""
+    if isinstance(value, Fraction):
+        return mpmath.mp.make_mpf(_raw(value, bits))
+    return mpmath.mp.make_mpf(fzero if value == fone else value)
 
 
 # --------------------------------------------------------------- constructors

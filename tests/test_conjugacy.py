@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from circleconj import circlegroup, conjugacy, homeo
+from circleconj import circlegroup, conjugacy, exactnum, homeo
 from circleconj.circlegroup import CircleElement, CircleGroupDescriptor, orbit_sample, validate_g
 from circleconj.conjugacy import (
     ConjugacyWitness,
@@ -31,6 +31,7 @@ from circleconj.exactnum import (
     NonQuadraticAlpha,
     Surd,
     UnimodularMatrix2,
+    cf_expand,
     stabilizer_generator,
 )
 from circleconj.homeo import (
@@ -224,6 +225,44 @@ def test_deciding_a_family_twice_builds_each_profile_once():
     info = AlphaProfile.of.cache_info()
     assert info.misses == len(set(alphas)) == 6
     assert info.hits > 0
+
+
+def test_the_continued_fraction_is_the_profiles_own():
+    for x in (ROOT2M1, GOLDEN, Surd(-2, 1, 1, 7)):
+        assert cf_expand(x) is cf_expand(x) is AlphaProfile.of(x).cf
+
+
+def test_deciding_a_family_twice_builds_one_continued_fraction_per_alpha(monkeypatch):
+    alphas = (ROOT2M1, GOLDEN, Surd(-2, 1, 1, 7), HALFROOT2, Surd(-9, 1, 1, 94))
+    family = [D(a, 3, 6, g) for a in alphas for g in ((1, 0, 0), (1, 1, 1))]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ContinuedFraction(*args)
+
+    monkeypatch.setattr(exactnum, "ContinuedFraction", counted)
+    AlphaProfile.of.cache_clear()
+    for _ in range(2):
+        verdicts = [decide(d1, d2).certificate for d1 in family for d2 in family]
+    # 100 pairs less the 16 + 3 * 4 inside a class: sqrt(2) - 1 with sqrt(2)/2, each other alpha alone
+    assert sum(c is not None and c["reason"] == "base_point_class" for c in verdicts) == 72
+    assert len(built) == len(alphas)
+
+
+def test_a_refusal_hands_out_its_own_lists():
+    d1, d2 = D(ROOT2M1, 2, 2, (1, 0)), D(GOLDEN, 2, 2, (1, 0))
+    expected = {
+        "reason": "base_point_class",
+        "cf": [{"preperiod": [0], "period": [2]}, {"preperiod": [0], "period": [1]}],
+    }
+    first = decide(d1, d2)
+    assert first.certificate == expected
+    first.certificate["cf"][0]["period"].append(5)
+    first.certificate["cf"][1]["preperiod"][0] = 7
+    assert decide(d1, d2).certificate == expected
+    assert decide(d1, d2).to_json()["certificate"] == expected
+    assert cf_expand(ROOT2M1).to_json() == expected["cf"][0]
 
 
 def test_cold_and_warm_profiles_give_identical_decisions():

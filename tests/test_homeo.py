@@ -537,6 +537,12 @@ def test_circle_distance_is_exact_at_any_global_precision():
         points = CirclePoint(x), CirclePoint(y)
     for a, b in ((x, y), (y, x), points, points[::-1]):
         assert circle_distance(a, b) == mpmath.mpf(2) ** -200
+    # an integer or a binary Fraction against a binary point: the difference is binary, so exact
+    for a, b in ((0, x), (x, 3), (CirclePoint(0), x)):
+        assert circle_distance(a, b) == x
+    with mpmath.mp.workprec(512):
+        half_less_y = mpmath.mpf(1) / 2 - y
+    assert circle_distance(Fraction(1, 2), y) == circle_distance(y, Fraction(5, 2)) == half_less_y
 
 
 def test_a_binary_point_keeps_its_bits_outside_workprec():

@@ -10,9 +10,11 @@
   ``validate_g`` refuses a cycle length below 1.
 * ``CirclePoint.approx`` rounds an exact point once, as ``from_rational`` does.
 * A point enters ``CirclePoint``, ``eval_circle``, ``eval_line``,
-  ``orbit_sample`` and ``rotation_number`` by one rule: every
-  ``operator.index`` integer and every ``Fraction`` is exact; any other value
-  goes to mpmath and must be finite, or a ValueError names it.
+  ``orbit_sample``, ``rotation_number`` and ``circle_distance`` by one rule:
+  every ``operator.index`` integer and every ``Fraction`` is exact; any other
+  value goes to mpmath and must be finite, or a ValueError names it.
+* ``Surd`` arithmetic, comparison and ``Surd.coerce`` take every integer
+  that ``operator.index`` takes; a float or a string raises TypeError.
 * Every input check of the public constructors and functions raises where
   its rule says, including the ones no other test reaches.
 """
@@ -58,6 +60,7 @@ from circleconj.homeo import (
     Staircase,
     Translate,
     eval_circle,
+    circle_distance,
     eval_line,
     expr_from_json,
     expr_to_json,
@@ -314,12 +317,15 @@ ENTRIES = {
     "eval_line": lambda x: eval_line(WRAPPED, x),
     "orbit_sample": lambda x: orbit_sample(CIRCLE2, x, 3),
     "rotation_number": lambda x: rotation_number(CYCLE, x, 3),
+    "circle_distance, first point": lambda x: circle_distance(x, Fraction(1, 3)),
+    "circle_distance, second point": lambda x: circle_distance(0.25, x),
 }
 
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_an_index_integer_enters_as_the_exact_int(name):
-    """The int gives the exact point 0 (the marked point of every k), its exact image and its exact rotation number."""
+    """The int gives the exact point 0 (the marked point of every k), its exact image, its exact rotation number
+    and its exact distance."""
     for value in (0, 2, -3):
         assert ENTRIES[name](Index(value)) == ENTRIES[name](value)
 
@@ -332,3 +338,40 @@ NOT_FINITE = [float("nan"), float("inf"), float("-inf"), mpmath.mpf("nan"), mpma
 def test_a_point_that_is_not_finite_raises_the_entry_rule_error(name, value):
     with pytest.raises(ValueError, match=f"^a point must be a finite real number, got {re.escape(repr(value))}$"):
         ENTRIES[name](value)
+
+
+def test_two_integers_are_the_exact_distance_between_them():
+    assert circle_distance(Index(2), 5) == circle_distance(2, 5) == Fraction(0)
+    assert type(circle_distance(2, 5)) is Fraction
+
+
+# ------------------------------------------------------------ surd operands
+
+# each way an exact real operand enters Surd arithmetic, called with m there
+SURD_TAKERS = {
+    "x + m": lambda m: ROOT2M1 + m,
+    "m + x": lambda m: m + ROOT2M1,
+    "x - m": lambda m: ROOT2M1 - m,
+    "m - x": lambda m: m - ROOT2M1,
+    "x * m": lambda m: ROOT2M1 * m,
+    "m * x": lambda m: m * ROOT2M1,
+    "x / m": lambda m: ROOT2M1 / m,
+    "m / x": lambda m: m / ROOT2M1,
+    "x < m": lambda m: ROOT2M1 < m,
+    "m <= x": lambda m: m <= ROOT2M1,
+    "Surd.coerce(m)": lambda m: Surd.coerce(m),
+    "mobius_apply(M, m)": lambda m: mobius_apply(UnimodularMatrix2(2, 1, 1, 1), m),
+}
+
+
+@pytest.mark.parametrize("name", SURD_TAKERS)
+def test_surd_arithmetic_takes_every_index_integer(name):
+    for value in (2, -3, 2**70):
+        assert SURD_TAKERS[name](Index(value)) == SURD_TAKERS[name](value)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("name", SURD_TAKERS)
+def test_surd_arithmetic_refuses_a_float_or_a_string(name, value):
+    with pytest.raises(TypeError):
+        SURD_TAKERS[name](value)

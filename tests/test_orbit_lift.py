@@ -28,6 +28,9 @@ point, which every element carries exactly to a marked point; exact and
 binary points inside the headroom or the trust margin, where every element
 but the identity is refused; and a point whose level-1 coordinate lies beyond
 the headroom, where only the elements reaching below that level are refused.
+``orbit_sample`` reads each image as an mpf with no ``CirclePoint``
+(``homeo._circle_mpf``); that value must be the ``CirclePoint``'s bit for
+bit, a rounded value of exactly 1 included, which becomes 0.
 """
 
 import math
@@ -37,6 +40,7 @@ from itertools import product
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import fone, from_rational, fzero
 
 from circleconj import homeo
 from circleconj.circlegroup import (
@@ -55,8 +59,10 @@ from circleconj.homeo import (
     Precision,
     PrecisionExhausted,
     Translate,
+    _RN,
     _ChartPoint,
     _chart,
+    _circle_mpf,
     _circle_point,
     _compile,
     _fraction,
@@ -281,3 +287,12 @@ def test_a_guard_hit_skips_only_the_elements_reaching_below_it():
             image(0, h)
     assert_lift_matches_tree(d, t0, p, some_elements(d))
     assert_lift_matches_tree(d, t0, Precision(working_bits=256), some_elements(d))
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_an_orbit_value_is_the_circle_points_value(bits):
+    below_one = Fraction(2 ** (bits + 4) - 1, 2 ** (bits + 4))  # rounds to 1 at bits, after its fractional part
+    raws = [fzero, fone, from_rational(1, 3, bits, _RN), from_rational(1, 2**bits, bits, _RN)]
+    for value in raws + [Fraction(0), Fraction(2, 7), below_one]:
+        assert _circle_mpf(value, bits)._mpf_ == _circle_point(value).approx(bits)._mpf_, value
+    assert _circle_mpf(fone, bits) == 0

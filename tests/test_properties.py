@@ -1,14 +1,20 @@
 """Property-based checks of the exact layer's algebraic laws."""
 
+import hashlib
+import json
+import operator
+from fractions import Fraction
 from math import isqrt
 
 import mpmath
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circleconj.circlegroup import CircleGroupDescriptor, validate_g
 from circleconj.conjugacy import check_witness, decide, witness_compose, witness_invert
 from circleconj.exactnum import (
+    AlphaProfile,
     Surd,
+    UnimodularMatrix2,
     denominator_at,
     equivalent,
     mobius_apply,
@@ -16,6 +22,7 @@ from circleconj.exactnum import (
 )
 from circleconj.intmat import blockdiag, mat_vec
 from support import signed_power_exponent
+import test_exact_pin as exact_pin
 
 laws = settings(derandomize=True, deadline=None)
 
@@ -101,6 +108,47 @@ def test_multiplication_distributes_over_addition(xyz):
 def test_a_surd_never_equals_a_bare_int(x, n):
     assert Surd(n) != n and n != Surd(n)
     assert x != n
+
+
+# a bare int: 0, True, small, negative and past 2**64
+bare_ints = st.one_of(st.sampled_from((0, True, False, 1, -1)), st.integers(-(10**6), 10**6),
+                      st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv,
+             operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def outcome(op, x, y):
+    """op(x, y), or the type and message of the exception it raises."""
+    try:
+        return op(x, y)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+@laws
+@given(surds, bare_ints)
+@example(Surd(-1, 1, 1, 2), 0)
+@example(Surd(-1, 1, 1, 2), True)
+@example(Surd(3), 2**64 + 1)
+def test_a_bare_int_operand_acts_as_its_surd(x, m):
+    for op in OPERATORS:
+        assert outcome(op, x, m) == outcome(op, x, Surd(m)), op
+        assert outcome(op, m, x) == outcome(op, Surd(m), x), op
+
+
+def test_integer_operands_build_no_surd_from_a_rational(monkeypatch):
+    matrices = (UnimodularMatrix2(2, 1, 1, 1), UnimodularMatrix2(0, 1, 1, 3), UnimodularMatrix2(-1, 4, 0, 1))
+    points = (Surd(-1, 1, 1, 2), Surd(3, -2, 5, 7), 3, Fraction(2, 7))
+    expected = [mobius_apply(M, x) for M in matrices for x in points]
+
+    def refuse(cls, q):
+        raise RuntimeError("Surd.from_rational was called")
+
+    monkeypatch.setattr(Surd, "from_rational", classmethod(refuse))
+    assert [mobius_apply(M, x) for M in matrices for x in points] == expected
+    AlphaProfile.of.cache_clear()
+    _, blob = exact_pin.records()
+    assert hashlib.sha256(json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == exact_pin.PINNED
 
 
 # each step is x -> 1/(q + x) or x -> x + m, an integer Mobius map
