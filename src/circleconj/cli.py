@@ -78,7 +78,12 @@ def _load_descriptor(path: str) -> CircleGroupDescriptor:
 
 
 def _emit(obj: dict, out_path=None) -> None:
-    text = json.dumps(obj, indent=2)
+    limit = sys.get_int_max_str_digits()  # input keeps it; a generator T may be longer
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

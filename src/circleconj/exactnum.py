@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
-from types import MappingProxyType
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_float
@@ -58,7 +57,7 @@ def json_ints(values, name: str) -> tuple:
     return tuple(json_int(v, f"{name} entry") for v in values)
 
 
-@lru_cache(maxsize=1024)  # the Gauss map builds a Surd per step, all over one d
+@lru_cache(maxsize=1024)  # every Surd result of arithmetic rechecks its radicand, mostly one d
 def is_square_free(d: int) -> bool:
     return d > 0 and all(d % (f * f) for f in range(2, isqrt(d) + 1))
 
@@ -116,11 +115,6 @@ class Surd:
         object.__setattr__(self, "d", d)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "Surd":
-        q = Fraction(q)
-        return cls(q.numerator, 0, q.denominator, 1)
 
     @classmethod
     def sqrt(cls, d: int) -> "Surd":
@@ -308,10 +302,8 @@ class ContinuedFraction:
         if len(out) < count:
             if not self.period:
                 raise ValueError("prefix too short and no period to unroll")
-            i = 0
-            while len(out) < count:
-                out.append(self.period[i % len(self.period)])
-                i += 1
+            whole, part = divmod(count - len(out), len(self.period))
+            out += self.period * whole + self.period[:part]
         return out
 
     def convergents(self, count: int) -> list:
@@ -460,11 +452,6 @@ def sign_normalize(M: UnimodularMatrix2, x: Surd) -> UnimodularMatrix2:
     return M if s > 0 else -M
 
 
-def _quotient_matrix(a: int) -> UnimodularMatrix2:
-    """Matrix of one continued-fraction step: x = a + 1/tail."""
-    return UnimodularMatrix2(0, 1, 1, a)
-
-
 _MAX_GAUSS_STEPS = 100_000
 
 
@@ -472,19 +459,15 @@ _MAX_GAUSS_STEPS = 100_000
 class AlphaProfile:
     """Everything the exact Gauss map derives from one quadratic irrational.
 
-    State i is the complete quotient of ``x`` before ``quotients[i]`` is
-    emitted; state 0 is ``x`` itself.  The map runs until a tail state
-    repeats, so ``quotients[start:]`` is one full period and ``cycle`` maps
-    each state on the cycle to its index.  The integer part always stays in
-    the preperiod (start >= 1), and ``cf`` is the continued fraction they
-    make.  ``of`` is memoized, so every caller shares one profile per surd;
-    ``cycle`` is a read-only mapping and ``cf`` is frozen for that reason.
+    State i is the complete quotient of ``x`` before its i-th partial
+    quotient is emitted; state 0 is ``x`` itself.  ``cf.period`` is one full
+    period from state ``len(cf.preperiod)``, the first state after state 0
+    that lies on the cycle, so the integer part always stays in the
+    preperiod.  ``of`` is memoized, so every caller shares one profile per
+    surd; ``cf`` is frozen for that reason.
     """
 
     x: Surd
-    quotients: tuple
-    start: int
-    cycle: MappingProxyType
     cf: ContinuedFraction
 
     @classmethod
@@ -494,28 +477,28 @@ class AlphaProfile:
             raise RationalInputError(
                 "continued fraction of a rational does not terminate periodically"
             )
-        quotients = []
-        seen = {}
-        cur = x
+        # x = (P + sqrt(D))/Q with Q | D - P^2; each state keeps that form
+        D = x.b * x.b * x.c * x.c * x.d
+        P, Q = (x.a * x.c, x.c * x.c) if x.b > 0 else (-x.a * x.c, -x.c * x.c)
+        s = isqrt(D)  # sqrt(D) is irrational: it lies in (s, s + 1)
+        quotients, entry = [], None
         for _ in range(_MAX_GAUSS_STEPS):
-            q = cur.floor()
+            q = (P + s + (Q < 0)) // Q  # floor((P + sqrt(D))/Q), for either sign of Q
             quotients.append(q)
-            a = cur.a - q * cur.c  # cur - q == (a + b*sqrt(d)) / c; invert that
-            cur = Surd(cur.c * a, -cur.c * cur.b, a * a - cur.b * cur.b * cur.d, cur.d)
-            start = seen.get(cur)
-            if start is not None:
-                cycle = MappingProxyType({state: i for state, i in seen.items() if i >= start})
-                cf = ContinuedFraction(quotients[:start], quotients[start:])
-                return cls(x, tuple(quotients), start, cycle, cf)
-            seen[cur] = len(quotients)
+            P = q * Q - P
+            Q = (D - P * P) // Q
+            if (P, Q) == entry:
+                return cls(x, ContinuedFraction(quotients[:start], quotients[start:]))
+            if entry is None and 0 < Q and s - Q < P <= s:  # reduced: on the cycle (Galois)
+                start, entry = len(quotients), (P, Q)
         raise RuntimeError(f"Gauss map did not cycle within its cap of {_MAX_GAUSS_STEPS} steps")
 
     def prefix(self, i: int) -> UnimodularMatrix2:
-        """Product of the quotient matrices of ``quotients[:i]``: it carries
-        state i back to x."""
+        """Product of the matrices of the first i partial quotients: it
+        carries state i back to x."""
         M = UnimodularMatrix2.identity()
-        for a in self.quotients[:i]:
-            M = _quotient_matrix(a) @ M
+        for a in self.cf.quotients(i):
+            M = UnimodularMatrix2(0, 1, 1, a) @ M  # one step: x = a + 1/tail
         return M
 
     def carry(self, i: int, other: "AlphaProfile", j: int) -> UnimodularMatrix2:
@@ -535,9 +518,10 @@ def equivalent(x, y):
     """A matrix M with mobius_apply(M, x) == y, or None if no such M exists.
 
     Two quadratic irrationals are related by an integer Mobius map with
-    determinant +-1 exactly when their continued fractions share a tail;
-    the witness is carried through the first state on x's cycle that y's
-    cycle shares, and sign-normalized so that m2 + n2*x > 0.
+    determinant +-1 exactly when their minimal periods are rotations of each
+    other (Serret); the witness is carried through x's cycle entry and the
+    state of y where y's period rotates onto x's, and sign-normalized so that
+    m2 + n2*x > 0.
     """
     x, y = Surd.coerce(x), Surd.coerce(y)
     if x.is_rational or y.is_rational:
@@ -547,10 +531,10 @@ def equivalent(x, y):
     if x.d != y.d:
         return None
     px, py = AlphaProfile.of(x), AlphaProfile.of(y)
-    for state, i in px.cycle.items():
-        j = py.cycle.get(state)
-        if j is not None:
-            M = px.carry(i, py, j)
+    n, twice = len(px.cf.period), py.cf.period * 2
+    for r in range(n if len(py.cf.period) == n else 0):
+        if twice[r:r + n] == px.cf.period:
+            M = px.carry(len(px.cf.preperiod), py, len(py.cf.preperiod) + r)
             if mobius_apply(M, x) != y:
                 raise CertificateError(f"equivalence matrix {M.rows()} does not send {x} to {y}")
             return M
@@ -571,7 +555,8 @@ def stabilizer_generator(x):
         raise RationalInputError("stabilizer is defined for irrational inputs")
     prof = AlphaProfile.of(x)
     # state start + period is state start again
-    T = prof.carry(prof.start, prof, len(prof.quotients))
+    start = len(prof.cf.preperiod)
+    T = prof.carry(start, prof, start + len(prof.cf.period))
     if mobius_apply(T, x) != x or T == UnimodularMatrix2.identity():
         raise CertificateError(f"{T.rows()} is not a nontrivial fixer of {x}")
     return T

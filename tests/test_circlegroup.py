@@ -94,7 +94,7 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         CircleGroupDescriptor(ROOT2M1, 2, 2, (2, 2))
     with pytest.raises(ValueError):
-        CircleGroupDescriptor(Surd.from_rational(Fraction(2, 7)), 2, 2, (1, 0))
+        CircleGroupDescriptor(Surd.coerce(Fraction(2, 7)), 2, 2, (1, 0))
 
 
 def test_descriptor_json_round_trip():

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from circleconj import conjugacy
 from circleconj.cli import main
+from circleconj.exactnum import Surd, UnimodularMatrix2, mobius_apply
 from support import time_limit
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -483,9 +485,26 @@ def test_unexpected_fault_exit4(capsys, tmp_path):
     assert err == "internal error: RuntimeError: stabilizer cycle did not close\n"
 
 
+def test_cf_prints_a_generator_longer_than_the_int_string_limit(capsys):
+    # sqrt(10238251) has period 8466, and T has entries of 4343 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "cf", "--surd", "a=0,b=1,c=1,d=10238251")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        blob = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    T = UnimodularMatrix2.from_json(blob["stabilizer_generator"])
+    assert max(abs(v) for v in T.to_json()) >= 10**4300  # more than 4300 digits
+    surd = Surd.from_json(blob["surd"])
+    assert mobius_apply(T, surd) == surd
+
+
 def test_gauss_map_cap_exit4(capsys):
     # the continued fraction of sqrt(10**10 + 19) runs past the Gauss map's
-    # cap; the radicand's square-free test is cached, so the walk gets there fast
+    # cap; the walk on integer states builds no Surd, so it gets there fast
     start = time.perf_counter()
     code, out, err = run(capsys, "cf", "--surd", "a=0,b=1,c=1,d=10000000019")
     assert time.perf_counter() - start < 5

@@ -250,6 +250,7 @@ def test_cf_expand_pinned_examples():
     assert cf_expand(SQRT2_M1) == ContinuedFraction((0,), (2,))
     assert cf_expand(GOLDEN_CONJ) == ContinuedFraction((0,), (1,))
     assert cf_expand(ONE_PLUS_SQRT2) == ContinuedFraction((2,), (2,))
+    assert cf_expand(Surd(1, 1, 2, 5)) == ContinuedFraction((1,), (1,))  # purely periodic too
 
 
 def test_cf_expand_classical_values():

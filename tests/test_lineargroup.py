@@ -68,7 +68,7 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         LineGroupDescriptor(ROOT2M1, 1)
     with pytest.raises(ValueError):
-        LineGroupDescriptor(Surd.from_rational(Fraction(1, 3)), 2)
+        LineGroupDescriptor(Surd.coerce(Fraction(1, 3)), 2)
     with pytest.raises(ValueError):
         LineGroupDescriptor(Surd(0, 1, 1, 2), 2)  # sqrt(2) > 1
     with pytest.raises(ValueError):

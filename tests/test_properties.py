@@ -7,17 +7,21 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circleconj.circlegroup import CircleGroupDescriptor, validate_g
 from circleconj.conjugacy import check_witness, decide, witness_compose, witness_invert
 from circleconj.exactnum import (
     AlphaProfile,
+    ContinuedFraction,
     Surd,
     UnimodularMatrix2,
+    cf_expand,
     denominator_at,
     equivalent,
     mobius_apply,
+    sign_normalize,
     stabilizer_generator,
 )
 from circleconj.intmat import blockdiag, mat_vec
@@ -136,15 +140,30 @@ def test_a_bare_int_operand_acts_as_its_surd(x, m):
         assert outcome(op, m, x) == outcome(op, Surd(m), x), op
 
 
+def counted_surds(monkeypatch) -> list:
+    """A list that records every Surd built from now on."""
+    built = []
+    post_init = Surd.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Surd, "__post_init__", counted)
+    return built
+
+
 def test_integer_operands_build_no_surd_from_a_rational(monkeypatch):
     matrices = (UnimodularMatrix2(2, 1, 1, 1), UnimodularMatrix2(0, 1, 1, 3), UnimodularMatrix2(-1, 4, 0, 1))
     points = (Surd(-1, 1, 1, 2), Surd(3, -2, 5, 7), 3, Fraction(2, 7))
     expected = [mobius_apply(M, x) for M in matrices for x in points]
-
-    def refuse(cls, q):
-        raise RuntimeError("Surd.from_rational was called")
-
-    monkeypatch.setattr(Surd, "from_rational", classmethod(refuse))
+    built = counted_surds(monkeypatch)
+    for M in matrices:
+        for x in points:
+            del built[:]
+            mobius_apply(M, x)
+            # x * n2, + m2, x * n1, + m1 and the quotient, and x itself when it is no Surd
+            assert len(built) == 5 + (not isinstance(x, Surd)), (M, x)
     assert [mobius_apply(M, x) for M in matrices for x in points] == expected
     AlphaProfile.of.cache_clear()
     _, blob = exact_pin.records()
@@ -178,6 +197,98 @@ def test_stabilizer_of_an_image_is_the_conjugate_generator(x, path):
     M = equivalent(x, y)
     conjugate = M.inverse() @ stabilizer_generator(x) @ M
     assert signed_power_exponent(conjugate, stabilizer_generator(y), max_exp=1) in (1, -1)
+
+
+# -- the Gauss map on integer states against the Gauss map on Surd states ----
+
+
+def surd_gauss_map(x: Surd) -> tuple:
+    """The reference Gauss map, cur -> 1/(cur - floor(cur)) over Surd states:
+    (quotients, start, cycle), with cycle mapping each state on the cycle to
+    its index and state 0, x itself, never on it."""
+    quotients, seen, cur = [], {}, x
+    while True:
+        quotients.append(cur.floor())
+        cur = 1 / (cur - quotients[-1])
+        if cur in seen:
+            start = seen[cur]
+            return quotients, start, {state: i for state, i in seen.items() if i >= start}
+        seen[cur] = len(quotients)
+
+
+def quotient_product(quotients) -> UnimodularMatrix2:
+    M = UnimodularMatrix2.identity()
+    for a in quotients:
+        M = UnimodularMatrix2(0, 1, 1, a) @ M
+    return M
+
+
+def reference_equivalent(x: Surd, y: Surd):
+    """The matrix through the first state on x's cycle that y's cycle shares."""
+    if x == y:
+        return UnimodularMatrix2.identity()
+    qx, _, cx = surd_gauss_map(x)
+    qy, _, cy = surd_gauss_map(y)
+    for state, i in cx.items():
+        if state in cy:
+            return sign_normalize(quotient_product(qx[:i]).inverse() @ quotient_product(qy[:cy[state]]), x)
+    return None
+
+
+# every sign of a, b and c as given, before the canonical form makes c > 0
+signed_surds = st.builds(
+    Surd,
+    st.integers(-40, 40),
+    st.integers(-6, 6).filter(bool),
+    st.integers(-12, 12).filter(bool),
+    st.sampled_from(RADICANDS),
+)
+
+
+@laws
+@given(signed_surds)
+@example(Surd(1, 1, 1, 2))  # sqrt(2) + 1 = [2; 2, 2, ...], purely periodic
+@example(Surd(1, 1, 2, 5))  # the golden section, purely periodic
+@example(Surd(2, 1, 3, 7))  # purely periodic with c > 1
+@example(Surd(3, 1, 1, 10))  # 3 + sqrt(10) = [6; 6, ...]
+@example(Surd(9, 1, 1, 94))  # x > 1, period 16
+@example(Surd(-30, -1, 7, 13))  # x < 0
+@example(Surd(5, 2, -3, 6))  # c < 0 as given
+def test_the_integer_gauss_map_is_the_surd_gauss_map(x):
+    quotients, start, _ = surd_gauss_map(x)
+    assert cf_expand(x) == ContinuedFraction(quotients[:start], quotients[start:])
+    T = sign_normalize(quotient_product(quotients[:start]).inverse() @ quotient_product(quotients), x)
+    assert stabilizer_generator(x) == T
+
+
+@laws
+@given(signed_surds, steps, st.integers(-40, 40), st.integers(-6, 6).filter(bool), st.integers(1, 12))
+def test_equivalent_carries_through_the_first_shared_cycle_state(x, path, a, b, c):
+    for y in (walk(x, path), Surd(a, b, c, x.d)):
+        assert equivalent(x, y) == reference_equivalent(x, y)
+
+
+def test_the_gauss_map_builds_no_surd(monkeypatch):
+    xs = (Surd(-1, 1, 1, 2), Surd(1, 1, 2, 5), Surd(-9, 1, 1, 94), Surd(-37, 1, 29, 2), Surd(3, -2, 5, 7))
+    built = counted_surds(monkeypatch)
+    AlphaProfile.of.cache_clear()
+    for x in xs:
+        AlphaProfile.of(x)
+    assert AlphaProfile.of.cache_info().misses == len(xs)
+    assert built == []
+
+
+@pytest.mark.parametrize("x, y", [
+    (Surd(-37, 1, 29, 2), Surd(-35, 1, 29, 2)),  # periods (2, 11, 3) and (3, 11, 2)
+    (Surd(-37, 1, 17, 5), Surd(-35, 1, 17, 5)),  # periods (3, 1, 18) and (1, 3, 18)
+    (Surd(-37, 1, 6, 34), Surd(-35, 1, 6, 34)),  # periods (1, 4, 7, 1) and (7, 4, 1, 1)
+])
+def test_periods_of_one_length_that_are_no_rotations_are_not_equivalent(x, y):
+    px, py = cf_expand(x).period, cf_expand(y).period
+    assert len(px) == len(py) and sorted(px) == sorted(py)
+    assert all(py[r:] + py[:r] != px for r in range(len(py)))
+    assert reference_equivalent(x, y) is None
+    assert equivalent(x, y) is None and equivalent(y, x) is None
 
 
 ALPHAS = (Surd(-1, 1, 1, 2), Surd(-1, 1, 2, 5), Surd(-2, 1, 1, 7))
