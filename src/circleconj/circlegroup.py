@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import index
 
 import mpmath
@@ -43,6 +45,7 @@ from .homeo import (
     _circle_mpf,
     _fail,
     _index_at_least,
+    _largest_gap,
     marked_point,
 )
 from .exactnum import Surd, json_int, json_ints, json_object, surd_mpf
@@ -197,6 +200,8 @@ def finite_orbit(d: CircleGroupDescriptor) -> list:
 #: scales for the alpha-coefficient of drawn elements; larger rungs refine the
 #: fractional spacing of the reachable translation lengths
 SCALE_LADDER = (1, 16, 256, 4096)
+#: the cumulative weights of the rungs, rung i of weight 2^i
+_LADDER_WEIGHTS = tuple(accumulate(2**i for i in range(len(SCALE_LADDER))))
 
 
 def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u, aim: float):
@@ -214,8 +219,9 @@ def _draw_coords(d: CircleGroupDescriptor, rng: random.Random, alpha_f: float, u
     """
     target = math.tan(math.pi * (u - 0.5)) - aim
     # fine rungs dominate: a coarse alpha-lattice would displace its aimed
-    # target by up to half a cell and punch holes in the coverage
-    scale = rng.choices(SCALE_LADDER, weights=[2**i for i in range(len(SCALE_LADDER))])[0]
+    # target by up to half a cell and punch holes in the coverage; the rung
+    # comes from one random() by its cumulative weight, as random.choices draws it
+    scale = SCALE_LADDER[bisect(_LADDER_WEIGHTS, rng.random() * _LADDER_WEIGHTS[-1])]
     c1 = rng.randint(-scale, scale)
     if d.n == 2:
         return (int(round(target - c1 * alpha_f)), c1)
@@ -248,7 +254,7 @@ def _chart_point(r: int, floors, x, k: int) -> _ChartPoint:
     return _ChartPoint(r, x, k)
 
 
-def _lift(d: CircleGroupDescriptor, p: Precision):
+def _lift(d: CircleGroupDescriptor, p: Precision, leave: bool = False):
     """The lifter of d at p.  lift(t), for a raw circle value t (a Fraction or
     an mpf tuple) or a chart point, lifts t once under the compiler's guards:
     its arc and chart coordinate x, and at each of the n - 2 wrap levels the
@@ -261,16 +267,20 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
     c0 + c1 alpha at the deepest level, or its integer coordinate at an
     integer x, as a compiled Translate does; then f^j takes the arc r to
     (r + j) mod k, and its c = (r + j) // k passes through the closing arc
-    move the lift by c g, as a step of its own.  A raw t that f^j alone
-    rotates rigidly stays raw, and exact on a Fraction.  Guard and margin hits
-    raise as in eval_circle(element_expr(d, (j, h)), t, p) for the elements
-    reaching the level hit; a chart point is not margin-tested.  Each
-    c0 + c1 alpha = (c0 c + c1 a + c1 b sqrt(d))/c, alpha = (a + b sqrt(d))/c,
+    move the lift by c g, as a step of its own.  That gives the moved state
+    (arc, floors, x) once, which image hands to a chart point, or with leave
+    straight to the chart's one exit (_chart's leave), as the circle value
+    the chart point stands for, with no chart point built.  A raw t that f^j
+    alone rotates rigidly stays raw, and exact on a Fraction.  Guard and
+    margin hits raise as in eval_circle(element_expr(d, (j, h)), t, p) for
+    the elements reaching the level hit; a chart point is not margin-tested.
+    Each c0 + c1 alpha = (c0 c + c1 a + c1 b sqrt(d))/c, alpha = (a + b sqrt(d))/c,
     is rounded once per lifter from those integers by exactnum.surd_mpf, the
     rule of a Translate constant, into the lifter's own memo, so the draws of
     an orbit do not churn the evaluator's cache."""
     prec, k, n, al = p.working_bits, d.k, d.n, d.alpha
     chart = _chart(prec)
+    flat, out = chart.flat, (chart.leave if leave else _chart_point)
     shift = lru_cache(None)(lambda c0, c1: surd_mpf(c0 * al.c + c1 * al.a, c1 * al.b, al.c, al.d, prec))
 
     def lift(t):
@@ -302,10 +312,10 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
             if level < n - 2 and blocked and any(coords[:n - 1 - level]):
                 blocked(t)
             if level == n - 2 and (coords[0] or coords[1]):
-                x = mpf_add(chart.flat(x), shift(coords[0], coords[1]), prec, _RN)
+                x = mpf_add(flat(x), shift(coords[0], coords[1]), prec, _RN)
             elif level < n - 2 and coords[n - 1 - level]:  # at an integer x
                 x = mpf_add(x, from_int(coords[n - 1 - level]), prec, _RN)
-            return [i + coords[n - 1 - above] for above, i in enumerate(floors)], x
+            return [i + v for i, v in zip(floors, reversed(coords))], x
 
         def image(j: int, coords):
             moved = any(coords)
@@ -317,7 +327,7 @@ def _lift(d: CircleGroupDescriptor, p: Precision):
                     blocked(t)
                 return chart.rotate(t, j, k) if j else t
             state = move(floors, x, coords)
-            return _chart_point(arc, *(move(*state, [c * v for v in d.g]) if c else state), k)
+            return out(arc, *(move(*state, [c * v for v in d.g]) if c else state), k)
 
         return (t if point is None else point), image
 
@@ -344,42 +354,40 @@ def orbit_sample(
     between consecutive images, and the number of draws skipped because the
     evaluation hit a guard.  The draws are evaluated on one lift of t0, its
     chart coordinates at every wrap level, by one lifter per sample (_lift),
-    and each image leaves the chart once.  They are aimed from the same lift:
-    t0's arc and its outer line coordinate.  A declared
-    non-quadratic base point is refused with TypeError: its elements have no
-    exact translation lengths.
+    and each image leaves the chart once, through the chart's one exit with
+    no chart point built.  They are aimed from the same lift: t0's arc and
+    its outer line coordinate.  The largest gap is taken in libmp
+    (homeo._largest_gap).  A declared non-quadratic base point is refused
+    with TypeError: its elements have no exact translation lengths.
     """
     if not isinstance(d.alpha, Surd):
         raise TypeError("a declared non-quadratic base point has no exact translation lengths")
     t0 = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
+    prec = p.working_bits
     rng = random.Random(seed)
     alpha_f = float(d.alpha)
     drift = d.g[0] + d.g[1] * alpha_f if d.n == 2 else float(d.g[-1])
-    chart = _chart(p.working_bits)
-    point, image = _lift(d, p)(t0._start(p.working_bits))
+    chart = _chart(prec)
+    point, image = _lift(d, p, leave=True)(t0._start(prec))
     # the aimed windows are centred on t0's outer line coordinate, or on the arc's centre 0
     # where t0 has no chart point (marked, or too close to a marked point) or it has no float
     r0, base = (point.r, chart.approx(point.x)) if type(point) is _ChartPoint else (None, 0.0)
     base = base if math.isfinite(base) else 0.0
-    values = [t0.approx(p.working_bits)]
+    # the aim of f^j: where it passes the closing arc, g acts once, as in the lifter
+    aims = [base + (drift if r0 is not None and r0 + j >= d.k else 0.0) for j in range(d.k)]
+    values = [t0.approx(prec)]
     skipped = 0
     strata = max(1, -(-count // d.k))  # complete stratified sweep per arc
     for i in range(count):
-        j = i % d.k
-        u = (i // d.k + rng.random()) / strata
-        # f^j passes the closing arc, where g acts once, as in the lifter
-        h = _draw_coords(d, rng, alpha_f, u, base + (drift if r0 is not None and r0 + j >= d.k else 0.0))
+        j, stratum = i % d.k, i // d.k
+        h = _draw_coords(d, rng, alpha_f, (stratum + rng.random()) / strata, aims[j])
         try:
-            values.append(_circle_mpf(chart.out_of_chart(image(j, h)), p.working_bits))
+            values.append(_circle_mpf(image(j, h), prec))
         except EvalError:
             skipped += 1
     low = min(v.exp for v in values)
     values.sort(key=lambda v: v.man << (v.exp - low))  # the exact order of points in [0, 1)
-    with mpmath.mp.workprec(p.working_bits):
-        gaps = [b - a for a, b in zip(values, values[1:])]
-        gaps.append(values[0] + 1 - values[-1])
-        max_gap = max(gaps)
-    return OrbitSample(tuple(values), max_gap, skipped)
+    return OrbitSample(tuple(values), _largest_gap(values, prec), skipped)
 
 
 def orbit_to_csv(sample: OrbitSample) -> str:

@@ -394,12 +394,17 @@ class UnimodularMatrix2:
         return self.m2 * self.n1 - self.m1 * self.n2
 
     def __matmul__(self, other: "UnimodularMatrix2") -> "UnimodularMatrix2":
-        return UnimodularMatrix2(
-            self.m2 * other.m2 + self.m1 * other.n2,
-            self.m2 * other.m1 + self.m1 * other.n1,
-            self.n2 * other.m2 + self.n1 * other.n2,
-            self.n2 * other.m1 + self.n1 * other.n1,
+        """The product, not checked again: det(AB) = det(A) det(B) = +-1 for
+        factors checked when built, and the check, big entries times big
+        entries, would cost far more than the product on a long period."""
+        product = object.__new__(UnimodularMatrix2)
+        product.__dict__.update(
+            m2=self.m2 * other.m2 + self.m1 * other.n2,
+            m1=self.m2 * other.m1 + self.m1 * other.n1,
+            n2=self.n2 * other.m2 + self.n1 * other.n2,
+            n1=self.n2 * other.m1 + self.n1 * other.n1,
         )
+        return product
 
     def inverse(self) -> "UnimodularMatrix2":
         D = self.det

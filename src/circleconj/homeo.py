@@ -366,14 +366,16 @@ class _WrapPoint(NamedTuple):
     y: tuple
 
 
-_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc approx distance into_chart out_of_chart")
+_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc approx distance into_chart out_of_chart leave")
 
 
 @lru_cache(maxsize=16)
 def _chart(prec: int) -> _Chart:
     """The guarded arithmetic of the base map and the arc charts at prec bits,
     shared by the compiler, the verification loop and the lifter in
-    circlegroup, with its members named as in _Chart.  A fractional part
+    circlegroup, with its members named as in _Chart.  Lift coordinates
+    leave through one exit, leave(r, floors, x, k): a chart point by
+    out_of_chart, the state of an orbit draw directly.  A fractional part
     closer than 2^(-prec/2) to an integer raises PrecisionExhausted."""
     pi, headroom = mpf_pi(prec, _RN), mpf_shift(fone, -(prec // 2))
     offset = lru_cache(maxsize=4096)(lambda r, k: mpf_div(from_int(r), from_int(k), prec, _RN))
@@ -442,9 +444,19 @@ def _chart(prec: int) -> _Chart:
         guard(y)
         return h_inv(y)
 
-    def chart_from_line(w, k: int):
-        v = mpf_div(mpf_add(h(flat(w)), fone, prec, _RN), from_int(k), prec, _RN)
-        return mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # wraps only for k = 1
+    def leave(r: int, floors, x, k: int):
+        """The circle value of the chart point at arc r of k whose coordinate is
+        x under the int floors, outermost first: x flat, then i + h(y) for each
+        floor from the deepest, then (h(y) + 1)/k on the first arc (1/k, 2/k),
+        rotated by r/k.  A power-of-two k divides with a shift, which is exact,
+        so it gives the bits mpf_div rounds to."""
+        x = flat(x)
+        for i in reversed(floors):
+            x = mpf_add(h(x), from_int(i), prec, _RN)
+        v = mpf_add(h(x), fone, prec, _RN)
+        v = mpf_shift(v, 1 - k.bit_length()) if k & (k - 1) == 0 else mpf_div(v, from_int(k), prec, _RN)
+        v = mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # for k = 1, or k = 2 where h rounds to 1
+        return rotate(v, r, k) if r else v
 
     def into_chart(t, k: int):
         """t as a chart point of the k arcs, or None for a marked point j/k; a
@@ -458,11 +470,8 @@ def _chart(prec: int) -> _Chart:
         return _ChartPoint(r, chart_to_line(rotate(t, -r, k) if r else t, k), k)
 
     def out_of_chart(t):
-        """A chart point as the circle value it stands for; a circle value as it is."""
-        if type(t) is not _ChartPoint:
-            return t
-        v = chart_from_line(t.x, t.k)
-        return rotate(v, t.r, t.k) if t.r else v
+        """A chart point as the circle value it stands for, by leave; a circle value as it is."""
+        return leave(t.r, (), t.x, t.k) if type(t) is _ChartPoint else t
 
     def arctan(x):
         """mpf_atan(x, prec), which rounds to x itself where |x| < 2^(-prec/2 - 2):
@@ -529,7 +538,7 @@ def _chart(prec: int) -> _Chart:
         d = mpf_div(angle, pi_k(k), prec, _RN)
         return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
 
-    return _Chart(split, h, h_inv, flat, rotate, arc, approx, distance, into_chart, out_of_chart)
+    return _Chart(split, h, h_inv, flat, rotate, arc, approx, distance, into_chart, out_of_chart, leave)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
@@ -735,6 +744,18 @@ def _circle_mpf(value, bits: int):
     if isinstance(value, Fraction):
         return mpmath.mp.make_mpf(_raw(value, bits))
     return mpmath.mp.make_mpf(fzero if value == fone else value)
+
+
+def _largest_gap(points, bits: int):
+    """The largest circular gap between neighbours of points, mpfs in [0, 1)
+    in their order on the circle, as an mpf: each b - a, and 1 + first - last
+    across 0, taken in libmp as workprec(bits) arithmetic on mpfs rounds it."""
+    raws = [t._mpf_ for t in points]
+    gap = mpf_sub(mpf_add(raws[0], fone, bits, _RN), raws[-1], bits, _RN)
+    for a, b in zip(raws, raws[1:]):
+        step = mpf_sub(b, a, bits, _RN)
+        gap = step if mpf_lt(gap, step) else gap
+    return mpmath.mp.make_mpf(gap)
 
 
 # --------------------------------------------------------------- constructors

@@ -334,3 +334,33 @@ def test_the_lift_rotates_an_exact_point_inside_the_headroom_where_the_tree_does
             image(j, h)
         with pytest.raises(PrecisionExhausted):
             eval_circle(element_expr(d, CircleElement(j, h)), t, p)
+
+
+def reference_tail(sample, bits):
+    """max_gap and the CSV as they were taken before the libmp tail: the gaps
+    in mpf arithmetic under workprec, and each point written by mpmath.nstr."""
+    values = list(sample.points)
+    with mpmath.mp.workprec(bits):
+        gaps = [b - a for a, b in zip(values, values[1:])]
+        gaps.append(values[0] + 1 - values[-1])
+        max_gap = max(gaps)
+    csv = "index,t\n" + "".join(f"{i},{mpmath.nstr(t, 20)}\n" for i, t in enumerate(values))
+    return max_gap, csv
+
+
+@pytest.mark.parametrize("bits", (128, 256))
+def test_the_tail_keeps_the_workprec_gaps_and_the_nstr_csv(bits):
+    p, calls = Precision(working_bits=bits), 0
+    for i, (n, k) in enumerate((n, k) for n in (2, 3, 4) for k in (1, 2, 3)):
+        d = CircleGroupDescriptor(ROOT2M1, n, k, (1,) + (0,) * (n - 2) + (-1,))
+        for count in (0, 1, 2, 7, 40):
+            with mpmath.mp.workprec(bits):
+                binary = mpmath.mpf(2 + i) / (29 + i)
+            for t0 in (Fraction(3 + 5 * i, 37), binary):
+                sample = orbit_sample(d, CirclePoint(t0), count, seed=i + count, p=p)
+                max_gap, csv = reference_tail(sample, bits)
+                assert sample.max_gap._mpf_ == max_gap._mpf_, (d, t0, count)
+                assert orbit_to_csv(sample) == csv
+                assert list(sample.points) == sorted(sample.points)
+                calls += 1
+    assert calls >= 50

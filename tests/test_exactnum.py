@@ -377,6 +377,31 @@ def test_matrix_power_matches_repeated_products():
             product = product @ base
 
 
+quotient_matrices = st.builds(lambda a: UnimodularMatrix2(0, 1, 1, a), st.integers(-10**6, 10**6))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.tuples(quotient_matrices, st.booleans()), min_size=1, max_size=40))
+def test_a_product_is_the_matrix_the_checked_constructor_builds(factors):
+    # @ does not check the product's determinant again; the constructor,
+    # which does, must accept it and build an equal matrix at every step
+    product = UnimodularMatrix2.identity()
+    for M, inverted in factors:
+        product = product @ (M.inverse() if inverted else M)
+        checked = UnimodularMatrix2(*product.to_json())
+        assert checked == product and hash(checked) == hash(product)
+        assert checked.det == product.det and abs(product.det) == 1
+    assert UnimodularMatrix2(*product.inverse().to_json()) == product.inverse()
+
+
+@pytest.mark.parametrize("rows", ([2, 0, 0, 2], [1, 1, 1, 1], [3, 5, 1, 3], [0, 0, 0, 0]))
+def test_a_matrix_that_is_not_unimodular_is_refused(rows):
+    with pytest.raises(ValueError, match="not unimodular"):
+        UnimodularMatrix2(*rows)
+    with pytest.raises(ValueError, match="not unimodular"):
+        UnimodularMatrix2.from_json(rows)
+
+
 def test_matrix_vector_action_scales_translation_lengths():
     # with y = M(x) and u = m2 + n2*x, scaling by u carries the lattice
     # Z + Z*y onto Z + Z*x coordinate-wise through the plain matrix action:

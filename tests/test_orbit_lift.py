@@ -30,17 +30,22 @@ but the identity is refused; and a point whose level-1 coordinate lies beyond
 the headroom, where only the elements reaching below that level are refused.
 ``orbit_sample`` reads each image as an mpf with no ``CirclePoint``
 (``homeo._circle_mpf``); that value must be the ``CirclePoint``'s bit for
-bit, a rounded value of exactly 1 included, which becomes 0.
+bit, a rounded value of exactly 1 included, which becomes 0.  Its images
+leave through the chart's one exit with no chart point built (``_lift`` with
+leave); each must be the value of the chart point the lifter builds, left
+as the chart left it before that exit, bit for bit, and the exit's division
+by a power-of-two k must give the bits of mpf_div.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import fone, from_rational, fzero
+from mpmath.libmp import fone, from_float, from_int, from_rational, fzero, mpf_add, mpf_div, mpf_ge, mpf_sub
 
 from circleconj import homeo
 from circleconj.circlegroup import (
@@ -296,3 +301,63 @@ def test_an_orbit_value_is_the_circle_points_value(bits):
     for value in raws + [Fraction(0), Fraction(2, 7), below_one]:
         assert _circle_mpf(value, bits)._mpf_ == _circle_point(value).approx(bits)._mpf_, value
     assert _circle_mpf(fone, bits) == 0
+
+
+def reference_exit(point, bits):
+    """out_of_chart as it stood before the one exit: the wrap points flattened
+    from the deepest, then (h(y) + 1)/k by mpf_div, wrapped at 1, rotated."""
+    chart = _chart(bits)
+    if type(point) is not _ChartPoint:
+        return point
+    v = mpf_div(mpf_add(chart.h(chart.flat(point.x)), fone, bits, _RN), from_int(point.k), bits, _RN)
+    v = mpf_sub(v, fone, bits, _RN) if mpf_ge(v, fone) else v
+    return chart.rotate(v, point.r, point.k) if point.r else v
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("bits", BITS)
+def test_an_image_that_leaves_through_the_exit_is_its_chart_points_value(n, k, bits):
+    # the lifter with leave hands the moved state to _chart's exit; the value
+    # must be the chart point's, left the old way, bit for bit, and refused alike
+    g = next(g for g in product(range(-2, 3), repeat=n) if validate_g(g, k)[0] and all(g))
+    d, p = CircleGroupDescriptor(BASES[(n + k) % 3], n, k, g), Precision(working_bits=bits)
+    rng, out_of_chart = random.Random(n * k + bits), _chart(bits).out_of_chart
+    passing = staying = 0
+    for t in (Fraction(2137, 10**4), Fraction(3, 37), Fraction(5, 7), Fraction(9001, 10**4)):
+        for t0 in (CirclePoint(t), CirclePoint(binary(t, bits))):
+            entries = [raw(t0, p)] + ([wrapped_chart_point(d, t0, p)] if n >= 3 else [])
+            for entry in filter(None, entries):
+                _, image = _lift(d, p)(entry)
+                _, leaving = _lift(d, p, leave=True)(entry)
+                elements = some_elements(d) + [
+                    (rng.randrange(k), (rng.randint(-60, 60), rng.randint(-4096, 4096))
+                     + tuple(rng.randint(-4, 4) for _ in range(n - 2)))
+                    for _ in range(12)
+                ]
+                for j, h in elements:
+                    chart_point = outcome(lambda: image(j, h))
+                    if isinstance(chart_point, type):
+                        assert outcome(lambda: leaving(j, h)) is chart_point
+                        continue
+                    value = leaving(j, h)
+                    assert value == out_of_chart(chart_point) == reference_exit(chart_point, bits), (t0, j, h)
+                    if type(chart_point) is _ChartPoint:
+                        passing += passes(d, t0, j)
+                        staying += not passes(d, t0, j)
+    assert staying > 0 and (passing > 0 or k == 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from((1, 2, 4, 8, 16)),
+    st.sampled_from(BITS),
+    st.floats(-1e30, 1e30, allow_nan=False),
+    st.integers(-3, 3),
+)
+def test_a_power_of_two_k_divides_as_mpf_div_rounds(k, bits, x, r):
+    # leave divides (h(x) + 1) by a power-of-two k with a shift; the bits
+    # must be mpf_div's at every such k, k = 1 included, where it wraps
+    chart, y = _chart(bits), from_float(x)
+    point = _ChartPoint(r % k, y, k)
+    assert chart.leave(r % k, (), y, k) == chart.out_of_chart(point) == reference_exit(point, bits)
