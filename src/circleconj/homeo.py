@@ -3,9 +3,9 @@
 Expressions are immutable trees of small node dataclasses.  Evaluation is
 pure: each call walks its tree once, compiling it into closures over raw
 mpmath.libmp values at ``working_bits``, rounding to nearest, which make the
-calls that mpf arithmetic makes under ``workprec``, in the same order, so
-results on line maps with at most one wrapped map and on single circle nodes
-are bit-identical to evaluating with mpf objects.  It follows an error model:
+calls that mpf arithmetic makes under ``workprec``, in the same order, but
+for the base map h = 1/2 + arctan/pi: _base_map rounds h once, correctly,
+where mpf arithmetic rounds three times.  It follows an error model:
 
 * results are trusted only at distance >= ``singular_margin`` (delta) from the
   breakpoints of the map (the integers for wrapped line maps, the marked
@@ -52,7 +52,7 @@ import mpmath
 from mpmath.libmp import (
     fhalf, finf, fnan, fninf, fone, from_float, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add,
     mpf_atan, mpf_div, mpf_eq, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_pi, mpf_shift, mpf_sub, mpf_tan, mpf_pos, round_nearest, to_float, to_int, to_str,
+    mpf_pi, mpf_shift, mpf_sub, mpf_tan, mpf_pos, round_nearest, to_fixed, to_float, to_int, to_str,
 )
 
 from .exactnum import Surd, json_int, json_object, surd_mpf
@@ -366,6 +366,64 @@ class _WrapPoint(NamedTuple):
     y: tuple
 
 
+_GUARD = 40  # bits past prec at which _base_map works first; each retry doubles them
+_STEP = 10  # _base_map's table holds atan(n 2^-_STEP) for 0 < n <= 2^_STEP
+
+
+@lru_cache(maxsize=16)
+def _base_table(W: int):
+    """(1/pi, {n: atan(n 2^-_STEP)}) at W bits for _base_map, which fills the table:
+    one per precision at W = prec + _GUARD, and one per wider W a retry reaches."""
+    return to_fixed(mpf_div(fone, mpf_pi(W + 8, _RN), W + 8, _RN), W), {}
+
+
+def _base_map(x, prec: int):
+    """h(x) = 1/2 + arctan(x)/pi correctly rounded to nearest at prec bits (Ziv):
+    evaluated once in integer fixed point at W = prec + g bits and rounded where
+    the error bound e leaves no midpoint in reach, else again with twice the
+    guard bits g.  This ends: arctan(x)/pi is irrational at binary x other than
+    0 and +-1 (Niven), so h(x) is never a midpoint.  The series runs in pairs of
+    terms on t = |x|, or t = 1/|x| past 1 (scaled by 2^s where h is tiny), less
+    the nearest table entry a: u = (t - a)/(1 + at), |u| <= 2^-(_STEP+1).  In
+    units of 2^-(W+s), t errs by < 1, a and 1/pi by 2, u by 2 and the series by
+    1.5 a pair plus 3, so v errs by < e = k + 8, where k = 4 pairs + 5."""
+    sign, man, exp, bc = x
+    if not man:
+        return {fzero: fhalf, finf: fone, fninf: fzero}.get(x, fnan)  # 0 and the infinities
+    mag, g = exp + bc, _GUARD
+    s = mag - _STEP - 3 if sign and mag > _STEP + 3 else 0
+    while True:
+        W = prec + g
+        inv_pi, table = _base_table(W)
+        if mag <= 0:
+            t = man << (exp + W) if exp + W >= 0 else man >> -(exp + W)
+        else:
+            t = (1 << (W + s - exp)) // man if W + s >= exp else 0
+        shift, a = W - _STEP, 0
+        n = (t + (1 << (shift - 1))) >> shift
+        if n:
+            a = table.get(n)
+            if a is None:
+                a = table[n] = to_fixed(mpf_atan(from_man_exp(n, -_STEP), W + 8, _RN), W)
+            t = ((t - (n << shift)) << W) // ((1 << W) + (n * t >> _STEP))
+        u = abs(t)
+        u2 = u * u >> (W + 2 * s)
+        u4 = u2 * u2 >> W
+        s0, s1, v, k = u, u // 3, u * u4 >> W, 5
+        while v:
+            s0, s1, v, k = s0 + v // k, s1 + v // (k + 2), v * u4 >> W, k + 4
+        series = s0 - (s1 * u2 >> W)
+        q = (a + (series if t >= 0 else -series)) * inv_pi >> W
+        if mag <= 0:
+            v, scale = (1 << (W - 1)) + (-q if sign else q), W
+        else:
+            v, scale = (q, W + s) if sign else ((1 << W) - q, W)
+        d, e = v.bit_length() - prec, k + 8  # no midpoint within e of v: v rounds as h does
+        if d > 2 and 4 * e < 1 << d and abs((v & ((1 << d) - 1)) - (1 << (d - 1))) > e:
+            return from_man_exp(v, -scale, prec, _RN)
+        g *= 2
+
+
 _Chart = namedtuple("_Chart", "split h h_inv flat rotate arc approx distance into_chart out_of_chart leave")
 
 
@@ -399,7 +457,7 @@ def _chart(prec: int) -> _Chart:
         return to_int(i), frac
 
     def h(x):
-        return mpf_add(fhalf, mpf_div(mpf_atan(x, prec, _RN), pi, prec, _RN), prec, _RN)
+        return _base_map(x, prec)
 
     def h_inv(y):
         if mpf_le(y, fzero) or mpf_ge(y, fone):

@@ -122,7 +122,7 @@ def basis_exprs(d: LineGroupDescriptor) -> list:
 
 
 def _href(x):
-    """The base map 1/2 + arctan(x)/pi at 128 bits, as the evaluator computes it."""
+    """The base map 1/2 + arctan(x)/pi at 128 bits, correctly rounded (homeo._base_map)."""
     return mpmath.mp.make_mpf(_chart(128).h(_raw(x, 128)))
 
 

@@ -666,3 +666,81 @@ def test_verify_exit_codes_over_generated_flags(verify_files, data):
         assert (blob["report"] is None) == (code == 3), argv
         if blob["report"] is not None:
             assert blob["report"]["ok"] == (code == 0), argv
+
+
+# -- decide exit codes over generated descriptors -------------------------------------
+
+BASES = (ROOT2, {"a": -1, "b": 1, "c": 2, "d": 5}, {"a": -9, "b": 1, "c": 1, "d": 94})
+JUNK = (None, True, 1.5, "2", [], {}, -1, 0, 10**40)
+
+
+@st.composite
+def descriptor_objects(draw):
+    """A descriptor that is mostly valid, of rank 2 to 4 with k up to 6, g of
+    content 1 and a quadratic or a declared non-quadratic base point, and
+    otherwise malformed, one field in ten: a base point that is no irrational
+    quadratic in (0, 1) or a prefix with a bad quotient, a value of the
+    wrong type or range, g of the wrong length or content, a field missing or
+    unknown, or no object at all."""
+    rare = st.sampled_from((False,) * 9 + (True,))
+
+    def usually(usual, odd):
+        return rare.flatmap(lambda is_odd: odd if is_odd else usual)
+
+    surds = st.fixed_dictionaries({
+        "a": st.integers(-20, 20), "b": st.integers(-3, 3), "c": st.integers(-12, 12),
+        "d": st.sampled_from((2, 3, 5, 7, 94, 0, 1, 4, 12, -2, 10**13)),
+    })
+    prefixes = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(lambda cf: {"nonquadratic_cf": [0, *cf]})
+    odd_prefixes = st.fixed_dictionaries({"nonquadratic_cf": st.lists(st.integers(-2, 9), max_size=6)})
+    alpha = draw(usually(st.one_of(st.sampled_from(BASES), prefixes),
+                         st.one_of(surds, odd_prefixes, st.sampled_from(JUNK))))
+    n = draw(usually(st.integers(2, 4), st.one_of(st.integers(-1, 5), st.sampled_from(JUNK))))
+    k = draw(usually(st.integers(1, 6), st.one_of(st.integers(-2, 12), st.sampled_from(JUNK))))
+    size = n if type(n) is int and 1 <= n <= 5 and not draw(rare) else draw(st.integers(1, 5))
+    rest = st.lists(st.integers(-3, 3), min_size=size - 1, max_size=size - 1)
+    g = draw(usually(st.tuples(st.sampled_from((1, -1)), rest).map(lambda p: [p[0], *p[1]]),
+                     st.one_of(st.lists(st.integers(-4, 4), max_size=5), st.sampled_from(JUNK))))
+    obj = {"alpha": alpha, "n": n, "k": k, "g": g}
+    if draw(rare):
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    if draw(rare):
+        obj[draw(st.sampled_from(("q", "alpha", "fspec")))] = 1
+    return draw(usually(st.just(obj), st.sampled_from(JUNK)))
+
+
+def descriptor_texts():
+    """JSON text of a generated descriptor, or rarely text that is no JSON or
+    nests deeper than the parser's stack."""
+    broken = st.sampled_from(("", "{", "[1, 2", "nan", "{'n': 2}", "[" * 100000 + "]" * 100000))
+    return mostly(descriptor_objects().map(json.dumps), broken)
+
+
+@pytest.fixture(scope="module")
+def descriptor_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decide-exit-codes")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_decide_exit_codes_over_generated_descriptors(descriptor_dir, data):
+    first = data.draw(descriptor_texts())
+    # the second file is often the first, so that valid pairs are often conjugate
+    second = data.draw(st.one_of(st.just(first), descriptor_texts()))
+    paths = []
+    for name, text in (("d1.json", first), ("d2.json", second)):
+        path = descriptor_dir / name
+        path.write_text(text)
+        paths.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), time_limit(60):
+        code = main(["decide", *paths])
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4), (first, second, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (first, second)
+    elif code != 4:
+        verdict = json.loads(out.getvalue())["verdict"]
+        assert (verdict == "conjugate") == (code == 0) and (verdict == "not_conjugate") == (code == 1), verdict

@@ -41,7 +41,7 @@ from circleconj.homeo import (
     staircase,
 )
 
-PINNED = "b3a521fedad4deb68021c60e2e27aeb551bf77590dc82eca14b5b00dc5fdf169"
+PINNED = "ed5404c516ea3ef58402f077f78ba468eec3d0f859870139a67c6a8c41385e47"
 
 BITS = (128, 192, 256)
 SQRT2 = Surd.sqrt(2)
