@@ -48,8 +48,8 @@ from .homeo import (
     _largest_gap,
     marked_point,
 )
-from .exactnum import Surd, json_int, json_ints, json_object, surd_mpf
-from .lineargroup import LineGroupDescriptor, alpha_from_json, element_to_expr
+from .exactnum import json_int, json_ints, json_object, surd_mpf
+from .lineargroup import LineGroupDescriptor, _quadratic, alpha_from_json, element_to_expr
 
 
 def content(g) -> int:
@@ -360,12 +360,10 @@ def orbit_sample(
     (homeo._largest_gap).  A declared non-quadratic base point is refused
     with TypeError: its elements have no exact translation lengths.
     """
-    if not isinstance(d.alpha, Surd):
-        raise TypeError("a declared non-quadratic base point has no exact translation lengths")
+    alpha_f = float(_quadratic(d))
     t0 = t0 if isinstance(t0, CirclePoint) else CirclePoint(t0)
     prec = p.working_bits
     rng = random.Random(seed)
-    alpha_f = float(d.alpha)
     drift = d.g[0] + d.g[1] * alpha_f if d.n == 2 else float(d.g[-1])
     chart = _chart(prec)
     point, image = _lift(d, p, leave=True)(t0._start(prec))

@@ -34,6 +34,7 @@ from .conjugacy import (
 )
 from .exactnum import CertificateError, Surd, cf_expand, stabilizer_generator
 from .homeo import CirclePoint, Precision
+from .lineargroup import _DECLARED, _declared
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -84,10 +85,10 @@ def _emit(obj: dict, out_path=None) -> None:
         text = json.dumps(obj, indent=2)
     finally:
         sys.set_int_max_str_digits(limit)
-    print(text)
-    if out_path:
+    if out_path:  # written first, so that a path that cannot be written prints nothing
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def cmd_cf(args) -> int:
@@ -136,9 +137,8 @@ def cmd_orbit(args) -> int:
         p = _precision(args)
     except INPUT_ERRORS as exc:
         return _invalid(exc)
-    if not isinstance(d.alpha, Surd):
-        print("not applicable: a declared non-quadratic base point has no exact translation lengths",
-              file=sys.stderr)
+    if _declared(d.alpha):
+        print(f"not applicable: {_DECLARED}", file=sys.stderr)
         return EXIT_UNDECIDED
     sample = orbit_sample(d, CirclePoint(t0), args.count, seed=args.seed, p=p)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
         return EXIT_UNDECIDED
     wit = dec.witness
     realized = corrupt_witness(d1, wit) if args.corrupt_witness else wit
-    psi = witness_to_homeo(d1, d2, realized, check=not args.corrupt_witness)
+    psi = witness_to_homeo(d1, d2, realized, check=False)  # decide checked wit; a corrupted one would fail
     report = verify_conjugation(
         psi, d1, d2, wit, grid_size=args.grid, tol=args.tol, p=p, seed=args.seed
     )
@@ -272,6 +272,8 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:  # an output file that cannot be written, which is invalid input
+        return _invalid(exc)
     except Exception as exc:  # a fault of the program, which must not read as exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd, inf
 from operator import index
 
@@ -28,7 +29,6 @@ from mpmath.libmp import from_float
 from .circlegroup import CircleElement, CircleGroupDescriptor, _chart_point, _float_lift, _lift
 from .exactnum import (
     CertificateError,
-    NonQuadraticAlpha,
     UnimodularMatrix2,
     cf_expand,
     denominator_at,
@@ -57,7 +57,7 @@ from .intmat import (
     mat_vec,
     solve_congruence,
 )
-from .lineargroup import element_to_expr, normalizer_expr, scale_conjugator
+from .lineargroup import _declared, element_to_expr, normalizer_expr, scale_conjugator
 
 __all__ = [
     "ConjugacyWitness",
@@ -117,24 +117,19 @@ class Decision:
         }
 
 
-def _shared_invariant_failure(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor):
-    """rank / cycle-length checks, which hold for every base point kind."""
+def _preamble(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor):
+    """(A, None) with the base points' equivalence matrix A, or (None, the Decision that settles the pair)."""
     if d1.n != d2.n:
-        return Decision(
+        return None, Decision(
             "not_conjugate",
             certificate={"reason": "rank_mismatch", "n": [d1.n, d2.n]},
         )
     if d1.k != d2.k:
-        return Decision(
+        return None, Decision(
             "not_conjugate",
             certificate={"reason": "cycle_length_mismatch", "k": [d1.k, d2.k]},
         )
-    return None
-
-
-def _base_point_step(d1, d2):
-    """Either (A, None) with the exact equivalence matrix, or (None, Decision)."""
-    if isinstance(d1.alpha, NonQuadraticAlpha) or isinstance(d2.alpha, NonQuadraticAlpha):
+    if _declared(d1.alpha) or _declared(d2.alpha):
         return None, Decision(
             "undecided_nonquadratic",
             certificate={
@@ -179,12 +174,9 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
     and w, h follow exactly.  At k = 1 every modulus is 1, so f = I, S = 0,
     B = I and h = w.
     """
-    fail = _shared_invariant_failure(d1, d2)
-    if fail is not None:
-        return fail
-    A, undecided = _base_point_step(d1, d2)
-    if undecided is not None:
-        return undecided
+    A, settled = _preamble(d1, d2)
+    if settled is not None:
+        return settled
 
     n, k = d1.n, d1.k
     u, v = d1.g, d2.g
@@ -231,9 +223,7 @@ def decide(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> Decision:
     Nu = mat_vec(M.ntilde(), u)
     w = tuple(yi - nui for yi, nui in zip(y, Nu))
     wit = ConjugacyWitness(M, w, _h_from(k, M, w))
-    ok, reason = check_witness(d1, d2, wit)
-    if not ok:
-        raise CertificateError(f"decide built a witness that fails its check: {reason}")
+    _checked(d1, d2, wit, CertificateError, "decide built a witness that fails its check")
     return Decision("conjugate", witness=wit)
 
 
@@ -253,12 +243,9 @@ def decide_oracle(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> str:
     """
     if d1.n > 4 or d1.k > 12 or d2.n > 4 or d2.k > 12:
         raise ValueError("oracle enumeration is only sized for n <= 4, k <= 12")
-    fail = _shared_invariant_failure(d1, d2)
-    if fail is not None:
-        return fail.verdict
-    A, undecided = _base_point_step(d1, d2)
-    if undecided is not None:
-        return undecided.verdict
+    A, settled = _preamble(d1, d2)
+    if settled is not None:
+        return settled.verdict
     n, k = d1.n, d1.k
     if k == 1:
         return "conjugate"
@@ -270,8 +257,6 @@ def decide_oracle(d1: CircleGroupDescriptor, d2: CircleGroupDescriptor) -> str:
 @lru_cache(maxsize=256)
 def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
     """All values of [[f, S], [0, B]] @ u modulo k, enumerated exhaustively."""
-    from itertools import product
-
     n, k, u = d1.n, d1.k, d1.g
     T = stabilizer_generator(d1.alpha)
     f_tops = [(a * u[0] + b * u[1], c * u[0] + d * u[1]) for a, b, c, d in _stabilizer_powers(T, k)]
@@ -299,7 +284,7 @@ def _oracle_images(d1: CircleGroupDescriptor) -> frozenset:
 
 def check_witness(d1, d2, wit: ConjugacyWitness):
     """(ok, reason): exact integer/surd verification of every witness claim."""
-    if isinstance(d1.alpha, NonQuadraticAlpha) or isinstance(d2.alpha, NonQuadraticAlpha):
+    if _declared(d1.alpha) or _declared(d2.alpha):
         return False, "witnesses require quadratic base points"
     n, k = d1.n, d1.k
     if d2.n != n or d2.k != k:
@@ -327,15 +312,25 @@ def check_witness(d1, d2, wit: ConjugacyWitness):
     return True, None
 
 
+def _checked(d1, d2, wit: ConjugacyWitness, error: type, what: str) -> ConjugacyWitness:
+    """wit, once check_witness passes it for (d1, d2); else error(f"{what}: {reason}")."""
+    ok, reason = check_witness(d1, d2, wit)
+    if not ok:
+        raise error(f"{what}: {reason}")
+    return wit
+
+
 # -- witness algebra ----------------------------------------------------------------
 
 
-def _repack(n: int, A2: UnimodularMatrix2, full: tuple) -> StructuredMatrix:
-    """StructuredMatrix with the given A whose ntilde equals ``full``."""
+def _repacked(d1, d2, A2: UnimodularMatrix2, full: tuple, w: tuple, what: str) -> ConjugacyWitness:
+    """The witness for (d1, d2) with the given A and w whose ntilde equals
+    ``full``, checked: ValueError(what) if it fails."""
     f = UnimodularMatrix2(full[0][0], full[0][1], full[1][0], full[1][1])
     S = (full[0][2:], full[1][2:])
     B = tuple(row[2:] for row in full[2:])
-    return StructuredMatrix(f, A2, S, B)
+    M = StructuredMatrix(f, A2, S, B)
+    return _checked(d1, d2, ConjugacyWitness(M, w, _h_from(d1.k, M, w)), ValueError, what)
 
 
 def witness_invert(d1, d2, wit: ConjugacyWitness) -> ConjugacyWitness:
@@ -346,12 +341,7 @@ def witness_invert(d1, d2, wit: ConjugacyWitness) -> ConjugacyWitness:
     N_inv = wit.M.ntilde_inverse()
     full = mat_mul(mat_mul(At_inv, N_inv), At)
     w2 = tuple(-x for x in mat_vec(mat_mul(At_inv, N_inv), wit.w))
-    M2 = _repack(n, wit.M.A.inverse(), full)
-    out = ConjugacyWitness(M2, w2, _h_from(d1.k, M2, w2))
-    ok, reason = check_witness(d2, d1, out)
-    if not ok:
-        raise ValueError(f"inverted witness failed verification: {reason}")
-    return out
+    return _repacked(d2, d1, wit.M.A.inverse(), full, w2, "inverted witness failed verification")
 
 
 def witness_compose(d1, d2, d3, w12: ConjugacyWitness, w23: ConjugacyWitness) -> ConjugacyWitness:
@@ -365,12 +355,7 @@ def witness_compose(d1, d2, d3, w12: ConjugacyWitness, w23: ConjugacyWitness) ->
     w13 = tuple(
         a + b for a, b in zip(mat_vec(conj, w12.w), mat_vec(At12, w23.w))
     )
-    M13 = _repack(n, A13, full)
-    out = ConjugacyWitness(M13, w13, _h_from(d1.k, M13, w13))
-    ok, reason = check_witness(d1, d3, out)
-    if not ok:
-        raise ValueError(f"composed witness failed verification: {reason}")
-    return out
+    return _repacked(d1, d3, A13, full, w13, "composed witness failed verification")
 
 
 def _h_from(k: int, M: StructuredMatrix, w: tuple) -> tuple:
@@ -412,9 +397,7 @@ def witness_to_homeo(d1, d2, wit: ConjugacyWitness, check: bool = True) -> Homeo
     the bar extension of h with d2's cycle map.
     """
     if check:
-        ok, reason = check_witness(d1, d2, wit)
-        if not ok:
-            raise ValueError(f"witness failed verification: {reason}")
+        _checked(d1, d2, wit, ValueError, "witness failed verification")
     line1 = d1.line()
     M_norm = StructuredMatrix(wit.M.f_alpha, UnimodularMatrix2.identity(), wit.M.S, wit.M.B)
     phi_norm = normalizer_expr(line1, M_norm)

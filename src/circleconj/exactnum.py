@@ -342,9 +342,7 @@ class NonQuadraticAlpha:
         pre = tuple(map(index, self.prefix))
         if len(pre) < 2:
             raise ValueError("prefix must contain at least two partial quotients")
-        for a in pre[1:]:
-            if a < 1:
-                raise ValueError("partial quotients after the integer part must be >= 1")
+        ContinuedFraction(pre, ())  # checks the partial quotients after the integer part
         object.__setattr__(self, "prefix", pre)
 
     def cf(self) -> ContinuedFraction:

@@ -43,7 +43,7 @@ import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import index
 from typing import NamedTuple
@@ -424,7 +424,7 @@ def _base_map(x, prec: int):
         g *= 2
 
 
-_Chart = namedtuple("_Chart", "split h h_inv flat rotate arc approx distance into_chart out_of_chart leave")
+_Chart = namedtuple("_Chart", "split h_inv flat rotate arc approx distance into_chart out_of_chart leave")
 
 
 @lru_cache(maxsize=16)
@@ -456,9 +456,6 @@ def _chart(prec: int) -> _Chart:
         guard(frac)
         return to_int(i), frac
 
-    def h(x):
-        return _base_map(x, prec)
-
     def h_inv(y):
         if mpf_le(y, fzero) or mpf_ge(y, fone):
             raise EvalError("base map inverse needs an argument strictly inside (0, 1)")
@@ -471,7 +468,7 @@ def _chart(prec: int) -> _Chart:
         from the deepest, each int floor converted once; a raw point as it is."""
         if type(x) is not _WrapPoint:
             return x
-        return mpf_add(h(flat(x.y)), from_int(x.i), prec, _RN)
+        return mpf_add(_base_map(flat(x.y), prec), from_int(x.i), prec, _RN)
 
     def rotate(t, r: int, k: int):
         """t + r/k mod 1, exact on Fractions; r/k is rounded once per (r, k)."""
@@ -510,8 +507,8 @@ def _chart(prec: int) -> _Chart:
         so it gives the bits mpf_div rounds to."""
         x = flat(x)
         for i in reversed(floors):
-            x = mpf_add(h(x), from_int(i), prec, _RN)
-        v = mpf_add(h(x), fone, prec, _RN)
+            x = mpf_add(_base_map(x, prec), from_int(i), prec, _RN)
+        v = mpf_add(_base_map(x, prec), fone, prec, _RN)
         v = mpf_shift(v, 1 - k.bit_length()) if k & (k - 1) == 0 else mpf_div(v, from_int(k), prec, _RN)
         v = mpf_sub(v, fone, prec, _RN) if mpf_ge(v, fone) else v  # for k = 1, or k = 2 where h rounds to 1
         return rotate(v, r, k) if r else v
@@ -596,7 +593,7 @@ def _chart(prec: int) -> _Chart:
         d = mpf_div(angle, pi_k(k), prec, _RN)
         return mpmath.mp.make_mpf(_edge(d, prec) if k == 1 else d)
 
-    return _Chart(split, h, h_inv, flat, rotate, arc, approx, distance, into_chart, out_of_chart, leave)
+    return _Chart(split, h_inv, flat, rotate, arc, approx, distance, into_chart, out_of_chart, leave)
 
 
 def _compile(e: HomeoExpr, p: Precision, line: bool):
@@ -691,7 +688,7 @@ def _compile(e: HomeoExpr, p: Precision, line: bool):
             u, op = _raw(e.u, prec), mpf_div if m < 0 else mpf_mul
             return lambda x: op(flat(x), u, prec, _RN)
         if kind is HbarBase:
-            base = h_inv if m < 0 else chart.h
+            base = h_inv if m < 0 else partial(_base_map, prec=prec)
             return lambda x: base(flat(x))
         if line == domain:
             marks.add(1 if line else e.k)
@@ -859,18 +856,20 @@ def rotation_number(e: HomeoExpr, t0, iters: int, p: Precision = DEFAULT_PRECISI
     prec = p.working_bits
     cur = (t0 if isinstance(t0, CirclePoint) else CirclePoint(t0))._start(prec)
     run, out_of_chart = _compile(e, p, False)[0], _chart(prec).out_of_chart
-    with mpmath.mp.workprec(prec):
-        total = Fraction(0)
-        for _ in range(iters):
-            nxt = out_of_chart(run(cur))
-            if isinstance(nxt, Fraction) and isinstance(cur, Fraction):
-                step = (nxt - cur) % 1
-            else:
-                d = mpf_sub(_raw(nxt, prec), _raw(cur, prec), prec, _RN)
-                step = mpmath.mp.make_mpf(mpf_sub(d, mpf_floor(d, prec, _RN), prec, _RN))
-            total = total + step
-            cur = nxt
+    total = Fraction(0)  # exact while every step is, then a raw sum at prec
+    for _ in range(iters):
+        nxt = out_of_chart(run(cur))
+        if isinstance(nxt, Fraction) and isinstance(cur, Fraction):
+            total += (nxt - cur) % 1
+        else:
+            d = mpf_sub(_raw(nxt, prec), _raw(cur, prec), prec, _RN)
+            if isinstance(total, Fraction):  # as mpf arithmetic takes a Fraction operand: rounded down
+                total = from_rational(total.numerator, total.denominator, prec)
+            total = mpf_add(total, mpf_sub(d, mpf_floor(d, prec, _RN), prec, _RN), prec, _RN)
+        cur = nxt
+    if isinstance(total, Fraction):
         return total / iters
+    return mpmath.mp.make_mpf(mpf_div(total, from_int(iters), prec, _RN))
 
 
 # -------------------------------------------------------------- serialization

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from operator import index
 
 import mpmath
+from mpmath.libmp import from_int
 
 from .exactnum import (
     NonQuadraticAlpha,
@@ -36,13 +38,15 @@ from .homeo import (
     HomeoExpr,
     Scale,
     Translate,
+    _WrapPoint,
     _chart,
     _index_at_least,
-    _raw,
     hbar_iter,
     staircase,
 )
 from .intmat import StructuredMatrix, mat_mul
+
+_DECLARED = "a declared non-quadratic base point has no exact translation lengths and no exact dilations"
 
 
 def alpha_from_json(obj):
@@ -53,16 +57,28 @@ def alpha_from_json(obj):
 
 
 def _validate_alpha(alpha) -> None:
-    if isinstance(alpha, Surd):
+    if _declared(alpha):
+        whole = alpha.prefix[0]
+    elif isinstance(alpha, Surd):
         if alpha.is_rational:
             raise ValueError("base point must be irrational")
-        if math.floor(alpha) != 0:  # alpha is irrational, so this is 0 < alpha < 1
-            raise ValueError("base point must lie strictly between 0 and 1")
-    elif isinstance(alpha, NonQuadraticAlpha):
-        if alpha.prefix[0] != 0:
-            raise ValueError("base point must lie strictly between 0 and 1")
+        whole = math.floor(alpha)  # alpha is irrational, so 0 means 0 < alpha < 1
     else:
         raise TypeError("base point must be a Surd or a NonQuadraticAlpha")
+    if whole != 0:
+        raise ValueError("base point must lie strictly between 0 and 1")
+
+
+def _declared(alpha) -> bool:
+    """Whether alpha is a declared non-quadratic prefix, not a quadratic Surd."""
+    return isinstance(alpha, NonQuadraticAlpha)
+
+
+def _quadratic(d) -> Surd:
+    """d's base point, which must be a quadratic Surd: TypeError(_DECLARED) if it is declared."""
+    if _declared(d.alpha):
+        raise TypeError(_DECLARED)
+    return d.alpha
 
 
 @dataclass(frozen=True)
@@ -96,10 +112,8 @@ def element_to_expr(d: LineGroupDescriptor, coords) -> HomeoExpr:
     coords = tuple(map(index, coords))
     if len(coords) != d.n:
         raise ValueError(f"expected {d.n} coordinates, got {len(coords)}")
-    if not isinstance(d.alpha, Surd):
-        raise TypeError("a declared non-quadratic base point has no exact translation lengths")
     parts = []
-    top = Surd.coerce(coords[0]) + d.alpha * coords[1]
+    top = Surd.coerce(coords[0]) + _quadratic(d) * coords[1]
     if top.sign() != 0:
         parts.append(hbar_iter(Translate(top), d.n - 2))
     for i in range(3, d.n + 1):
@@ -121,9 +135,15 @@ def basis_exprs(d: LineGroupDescriptor) -> list:
 # -- non-transitivity locus ---------------------------------------------------------
 
 
-def _href(x):
-    """The base map 1/2 + arctan(x)/pi at 128 bits, correctly rounded (homeo._base_map)."""
-    return mpmath.mp.make_mpf(_chart(128).h(_raw(x, 128)))
+def _wrapped(bottom: int, floors):
+    """bottom under the wrap floors i, innermost first, each level i + h(v) with h
+    the base map: bottom itself under none, else the chart's flat, an mpf at 128 bits."""
+    if not floors:
+        return bottom
+    x = from_int(bottom)
+    for i in floors:
+        x = _WrapPoint(i, x)
+    return mpmath.mp.make_mpf(_chart(128).flat(x))
 
 
 def nontransitive_points(d: LineGroupDescriptor, bound: int):
@@ -141,17 +161,9 @@ def nontransitive_points(d: LineGroupDescriptor, bound: int):
     if d.n == 2:
         return []
     points = []
-    for i in range(-bound, bound + 1):
-        points.append((i, (i,)))
-    if d.n >= 4:
-        from itertools import product
-
-        with mpmath.mp.workprec(128):
-            for idx in product(range(-bound, bound + 1), repeat=d.n - 2):
-                v = mpmath.mpf(idx[0])
-                for i in idx[1:]:
-                    v = _href(v) + i
-                points.append((v, idx))
+    for depth in sorted({1, d.n - 2}):  # the integers, and from rank 4 on the deepest level
+        for idx in product(range(-bound, bound + 1), repeat=depth):
+            points.append((_wrapped(idx[0], idx[1:]), idx))
     points.sort(key=lambda p: mpmath.mpf(p[0]))
     return points
 
@@ -182,11 +194,7 @@ def minimal_interval(d: LineGroupDescriptor, idx):
         return (float("-inf"), float("inf"))
     if len(idx) != d.n - 2:
         raise ValueError(f"expected {d.n - 2} construction indices, got {len(idx)}")
-    lo, hi = idx[0], idx[0] + 1
-    with mpmath.mp.workprec(128):
-        for i in idx[1:]:
-            lo, hi = _href(lo) + i, _href(hi) + i
-    return (lo, hi)
+    return (_wrapped(idx[0], idx[1:]), _wrapped(idx[0] + 1, idx[1:]))
 
 
 # -- normalizer realizations --------------------------------------------------------
@@ -199,9 +207,7 @@ def scale_conjugator(d: LineGroupDescriptor, M: UnimodularMatrix2) -> HomeoExpr:
     group over ``mobius_apply(M, alpha)`` by the returned map lands in the
     group over ``alpha``, with coordinates transformed by ``M``.
     """
-    if not isinstance(d.alpha, Surd):
-        raise TypeError("a declared non-quadratic base point has no exact dilations")
-    u = denominator_at(M, d.alpha)
+    u = denominator_at(M, _quadratic(d))
     if u.sign() <= 0:
         raise ValueError("matrix must be sign-normalized at the base point")
     return hbar_iter(Scale(u), d.n - 2)
@@ -218,14 +224,13 @@ def normalizer_expr(d: LineGroupDescriptor, M: StructuredMatrix) -> HomeoExpr:
     ``U = [[I, f_alpha^-1 S], [0, B]]`` in decreasing ``j``; a wrapped
     dilation for ``A`` when the base point moves.
     """
-    if not isinstance(d.alpha, Surd):
-        raise TypeError("a declared non-quadratic base point has no exact dilations")
+    alpha = _quadratic(d)
     if M.n != d.n:
         raise ValueError(f"matrix rank {M.n} does not match descriptor rank {d.n}")
     f = M.f_alpha
-    if mobius_apply(f, d.alpha) != d.alpha:
+    if mobius_apply(f, alpha) != alpha:
         raise ValueError("f_alpha must fix the base point")
-    if denominator_at(f, d.alpha).sign() <= 0:
+    if denominator_at(f, alpha).sign() <= 0:
         raise ValueError("f_alpha must be sign-normalized at the base point")
 
     parts = []
@@ -239,7 +244,7 @@ def normalizer_expr(d: LineGroupDescriptor, M: StructuredMatrix) -> HomeoExpr:
         col += [M.B[i - 3][j - 3] for i in range(3, j)]
         if not any(col):
             continue
-        tau = element_to_expr(LineGroupDescriptor(d.alpha, j - 1), col)
+        tau = element_to_expr(LineGroupDescriptor(alpha, j - 1), col)
         parts.append(hbar_iter(staircase(HbarWrap(tau)), d.n - j))
 
     if M.A != UnimodularMatrix2.identity():

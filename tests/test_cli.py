@@ -422,6 +422,30 @@ def test_orbit_nonquadratic_base_point_exit3(capsys, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("cf", "--surd", "a=-1,b=1,c=1,d=2", "--out", "{bad}"),
+        ("decide", "{a}", "{b}", "--out", "{bad}"),
+        ("verify", "{a}", "{b}", "--grid", "4", "--out", "{bad}"),
+        ("orbit", "{a}", "--t0", "0.3", "--count", "5", "--out", "{bad}"),
+        ("orbit", "{a}", "--t0", "0.3", "--count", "5", "--out", "{csv}", "--svg", "{bad}"),
+    ],
+    ids=["cf", "decide", "verify", "orbit-csv", "orbit-svg"],
+)
+def test_an_output_path_that_cannot_be_written_exits2_on_one_line(capsys, tmp_path, command):
+    paths = {
+        "a": str(SAMPLES / "root2_k2_a.json"),
+        "b": str(SAMPLES / "root2_k2_b.json"),
+        "bad": str(tmp_path / "missing" / "out"),  # in a directory that does not exist
+        "csv": str(tmp_path / "x.csv"),
+    }
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in command))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "missing" in err
+
+
 def test_descriptor_missing_field_exit2(capsys, tmp_path):
     bad = write_descriptor(tmp_path, "nog.json", {"alpha": ROOT2, "n": 2, "k": 2})
     for command in ("decide", "verify"):

@@ -328,6 +328,20 @@ def test_decide_raises_when_its_witness_fails_the_check(monkeypatch):
         decide(D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (0, 1)))
 
 
+@pytest.mark.parametrize("build", ["invert", "compose", "to_homeo"])
+def test_the_witness_algebra_raises_value_error_when_its_witness_fails_the_check(monkeypatch, build):
+    d1, d2 = D(ROOT2M1, 2, 2, (1, 0)), D(ROOT2M1, 2, 2, (0, 1))
+    w12, w22 = decide(d1, d2).witness, decide(d2, d2).witness
+    monkeypatch.setattr(conjugacy, "check_witness", lambda *args: (False, "rejected"))
+    calls = {
+        "invert": lambda: witness_invert(d1, d2, w12),
+        "compose": lambda: witness_compose(d1, d2, d2, w12, w22),
+        "to_homeo": lambda: witness_to_homeo(d1, d2, w12),
+    }
+    with pytest.raises(ValueError, match="failed verification: rejected"):  # not the CertificateError of decide
+        calls[build]()
+
+
 def test_self_check_survives_python_O():
     script = (
         "from circleconj import conjugacy as c\n"

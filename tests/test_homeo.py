@@ -25,6 +25,9 @@ from circleconj.homeo import (
     PrecisionExhausted,
     Scale,
     Translate,
+    _chart,
+    _compile,
+    _raw,
     circle_distance,
     eval_circle,
     eval_line,
@@ -511,6 +514,50 @@ def test_rotation_number_of_cycle_map_near_1_over_k():
             d = abs(mpmath.mpf(rho) - mpmath.mpf(1) / k)
             d = min(d, 1 - d)
             assert d < 1 / 400 + 1e-6
+
+
+def reference_rotation_number(e, t0, iters, p):
+    """rotation_number's sum as mpf arithmetic under workprec, over the same
+    orbit: a Fraction while every step is exact, which an mpf operand then
+    takes as mpmath converts a Fraction."""
+    prec = p.working_bits
+    cur = CirclePoint(t0)._start(prec)
+    run, out_of_chart = _compile(e, p, False)[0], _chart(prec).out_of_chart
+    with mpmath.mp.workprec(prec):
+        total = Fraction(0)
+        for _ in range(iters):
+            nxt = out_of_chart(run(cur))
+            if isinstance(nxt, Fraction) and isinstance(cur, Fraction):
+                step = (nxt - cur) % 1
+            else:
+                d = mpmath.mp.make_mpf(_raw(nxt, prec)) - mpmath.mp.make_mpf(_raw(cur, prec))
+                step = d - mpmath.floor(d)
+            total = total + step
+            cur = nxt
+        return total / iters
+
+
+def outcome(f, *args):
+    """f(*args) as its type and its bits, or the exception it raises."""
+    try:
+        value = f(*args)
+    except EvalError as exc:
+        return type(exc)
+    return type(value), value._mpf_ if isinstance(value, mpmath.mpf) else value
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_rotation_number_is_the_mpf_sum_bit_for_bit(bits, k):
+    p = Precision(working_bits=bits)
+    phi = Surd(-1, 1, 2, 5)
+    # exact steps first, then inexact ones: the exact sum enters the mpf sum once
+    for gtilde in (Identity(), Translate(phi), hbar_iter(Translate(phi), 1), Translate(Fraction(1, 3))):
+        for t0 in (Fraction(1, 7), Fraction(2, 3), 0.3):
+            for iters in (1, 7, 20):
+                e = CanonicalF(k, gtilde)
+                got, expected = (outcome(f, e, t0, iters, p) for f in (rotation_number, reference_rotation_number))
+                assert got == expected, (gtilde, t0, iters)
 
 
 # ----------------------------------------------------------- points and JSON

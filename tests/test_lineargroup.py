@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -21,6 +22,7 @@ from circleconj.homeo import (
     Scale,
     Staircase,
     Translate,
+    _base_map,
     eval_line,
 )
 from circleconj.intmat import StructuredMatrix, mat_identity, mat_vec
@@ -183,6 +185,38 @@ def test_nontransitive_sorted_and_csv():
     assert lines[0] == "value,indices"
     assert len(lines) == 1 + len(pts)
     assert any(line.endswith("0;0") for line in lines[1:])
+
+
+def reference_wrapped(bottom, floors):
+    """The locus loop as mpf arithmetic at 128 bits: v = i + h(v) per floor,
+    h the correctly rounded base map."""
+    with mpmath.mp.workprec(128):
+        v = mpmath.mpf(bottom)
+        for i in floors:
+            v = mpmath.mp.make_mpf(_base_map(v._mpf_, 128)) + i
+        return v
+
+
+def bits(value):
+    return value._mpf_ if isinstance(value, mpmath.mpf) else value
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("alpha", [ROOT2M1, GOLDEN])
+def test_the_locus_is_the_mpf_loop_bit_for_bit(alpha, n):
+    d = LineGroupDescriptor(alpha, n)
+    expected = [(i, (i,)) for i in range(-2, 3)]
+    if n >= 4:
+        expected += [(reference_wrapped(idx[0], idx[1:]), idx) for idx in product(range(-2, 3), repeat=n - 2)]
+    expected.sort(key=lambda p: mpmath.mpf(p[0]))
+    assert [(bits(v), idx) for v, idx in nontransitive_points(d, 2)] == [(bits(v), idx) for v, idx in expected]
+    for idx in product(range(-2, 3), repeat=n - 2):
+        lo, hi = minimal_interval(d, idx)
+        if n == 3:
+            assert (type(lo), lo, hi) == (int, idx[0], idx[0] + 1)
+        else:
+            assert (bits(lo), bits(hi)) == (bits(reference_wrapped(idx[0], idx[1:])),
+                                            bits(reference_wrapped(idx[0] + 1, idx[1:])))
 
 
 def test_minimal_interval_rank2_whole_line():

@@ -12,7 +12,10 @@ parse it, and none checks ``isinstance(..., int)``, which refuses an integer
 type that ``operator.index`` takes, so integers have one rule.  The arc of a
 circle value has one rule, ``homeo._chart``'s ``arc``: nothing else calls
 ``arc_floor``.  Only ``homeo.py`` reads an mpf's ``_mpf_``, so a point's raw
-value comes from one place."""
+value comes from one place.  No module calls mpmath's ``workprec``: the
+package rounds in libmp at the precision it names, and never sets mpmath's
+global precision.  The refusal of a declared non-quadratic base point is
+written once, in ``lineargroup``, whose rule every caller asks."""
 
 import ast
 from pathlib import Path
@@ -109,3 +112,24 @@ def test_only_chart_calls_arc_floor():
 def test_only_homeo_reads_mpf_bits(path):
     lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Attribute) and node.attr == "_mpf_"]
     assert lines == [], f"{path.name} reads ._mpf_ on lines {lines}"
+
+
+def test_no_module_calls_workprec():
+    lines = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and "workprec" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert lines == [], f"workprec is called at {lines}"
+
+
+def test_the_refusal_of_a_declared_base_point_is_written_once():
+    places = [
+        f"{path.name}:{number}"
+        for path in MODULES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "declared non-quadratic base point has no exact" in line
+    ]
+    assert len(places) == 1, f"the refusal is written at {places}"

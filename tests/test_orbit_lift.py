@@ -66,6 +66,7 @@ from circleconj.homeo import (
     Translate,
     _RN,
     _ChartPoint,
+    _base_map,
     _chart,
     _circle_mpf,
     _circle_point,
@@ -309,7 +310,7 @@ def reference_exit(point, bits):
     chart = _chart(bits)
     if type(point) is not _ChartPoint:
         return point
-    v = mpf_div(mpf_add(chart.h(chart.flat(point.x)), fone, bits, _RN), from_int(point.k), bits, _RN)
+    v = mpf_div(mpf_add(_base_map(chart.flat(point.x), bits), fone, bits, _RN), from_int(point.k), bits, _RN)
     v = mpf_sub(v, fone, bits, _RN) if mpf_ge(v, fone) else v
     return chart.rotate(v, point.r, point.k) if point.r else v
 
